@@ -30,7 +30,15 @@ void bm_step(benchmark::State& state) {
   state.counters["cycles_per_second"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(bm_step)->Args({1, 16})->Args({2, 16})->Args({6, 16})->Args({6, 64})->Args({16, 256});
+// {2, 4096} shows that a step costs O(p), not O(m): it should read
+// close to {2, 16}.
+BENCHMARK(bm_step)
+    ->Args({1, 16})
+    ->Args({2, 16})
+    ->Args({6, 16})
+    ->Args({6, 64})
+    ->Args({16, 256})
+    ->Args({2, 4096});
 
 // The same workloads with the full tracing v2 stack attached (bounded
 // event buffer + attribution fold on one hook).  Comparing
@@ -58,7 +66,7 @@ void bm_find_steady_state(benchmark::State& state) {
     benchmark::DoNotOptimize(sim::find_steady_state(cfg, sim::two_streams(0, 1, 1, 3)));
   }
 }
-BENCHMARK(bm_find_steady_state)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(bm_find_steady_state)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 void bm_triad_n1024(benchmark::State& state) {
   xmp::XmpConfig machine;

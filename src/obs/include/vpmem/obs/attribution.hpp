@@ -12,6 +12,7 @@
 // dropping attribution precision, even when the buffer evicts old events.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -76,7 +77,21 @@ class ConflictAttribution {
   explicit ConflictAttribution(const sim::MemoryConfig& config, AttributionOptions options = {});
 
   /// Fold one event.  Events must arrive in non-decreasing cycle order.
-  void observe(const sim::Event& e);
+  /// The grant path is inline: it is the per-event cost of tracing.
+  void observe(const sim::Event& e) {
+    if (finalized_) reject_after_finalize();
+    last_cycle_ = std::max(last_cycle_, e.cycle);
+    if (e.type != sim::Event::Type::grant) {
+      observe_conflict(e);
+      return;
+    }
+    // Events arrive in (mostly) non-decreasing cycle order, so the
+    // current window is cached and the division only runs when the cycle
+    // leaves it.
+    if (e.cycle >= window_end_ || e.cycle < window_end_ - options_.window) enter_window(e.cycle);
+    ++window_grants_[cur_window_];
+    ++total_grants_;
+  }
 
   /// Close open episodes and the final (possibly partial) b_eff window.
   /// `end_cycle` is the exclusive end of the observed window.  Idempotent
@@ -137,6 +152,9 @@ class ConflictAttribution {
   };
 
   PortFold& fold_for(std::size_t port);
+  [[noreturn]] static void reject_after_finalize();
+  void enter_window(i64 cycle);
+  void observe_conflict(const sim::Event& e);
   void close_episode(PortFold& fold);
 
   sim::MemoryConfig config_;

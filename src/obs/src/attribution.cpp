@@ -62,28 +62,26 @@ void ConflictAttribution::close_episode(PortFold& fold) {
   } else {
     ++episodes_truncated_;
   }
+  // Reset for the next episode but keep the banks buffer's capacity: a
+  // long run opens and closes tens of thousands of episodes per port.
+  std::vector<i64> banks = std::move(fold.open.banks);
+  banks.clear();
   fold.open = BarrierEpisode{};
+  fold.open.banks = std::move(banks);
 }
 
-void ConflictAttribution::observe(const sim::Event& e) {
-  if (finalized_) throw std::logic_error{"ConflictAttribution: observe() after finalize()"};
-  last_cycle_ = std::max(last_cycle_, e.cycle);
+void ConflictAttribution::reject_after_finalize() {
+  throw std::logic_error{"ConflictAttribution: observe() after finalize()"};
+}
 
-  if (e.type == sim::Event::Type::grant) {
-    // Hot path: events arrive in (mostly) non-decreasing cycle order, so
-    // the current window is cached and the division only runs when the
-    // cycle leaves it.
-    if (e.cycle >= window_end_ || e.cycle < window_end_ - options_.window) {
-      const auto w = static_cast<std::size_t>(e.cycle / options_.window);
-      if (w >= window_grants_.size()) window_grants_.resize(w + 1, 0);
-      cur_window_ = w;
-      window_end_ = (static_cast<i64>(w) + 1) * options_.window;
-    }
-    ++window_grants_[cur_window_];
-    ++total_grants_;
-    return;
-  }
+void ConflictAttribution::enter_window(i64 cycle) {
+  const auto w = static_cast<std::size_t>(cycle / options_.window);
+  if (w >= window_grants_.size()) window_grants_.resize(w + 1, 0);
+  cur_window_ = w;
+  window_end_ = (static_cast<i64>(w) + 1) * options_.window;
+}
 
+void ConflictAttribution::observe_conflict(const sim::Event& e) {
   PortFold& fold = fold_for(e.port);
   const auto kind = static_cast<std::size_t>(e.conflict);
   // The (bank, kind) matrix is the only per-kind store on the hot path;

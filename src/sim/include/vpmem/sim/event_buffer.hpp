@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -64,8 +65,27 @@ class EventBuffer {
   /// kDefaultCapacity.
   explicit EventBuffer(std::size_t capacity = kDefaultCapacity);
 
-  /// Record one event, evicting the oldest chunk when full.
-  void push(const Event& e);
+  /// Record one event, evicting the oldest chunk when full.  Inline: the
+  /// tracing hot path calls it once per event.
+  void push(const Event& e) {
+    if (e.port > std::numeric_limits<std::uint16_t>::max() ||
+        e.blocker > std::numeric_limits<std::uint16_t>::max() ||
+        e.bank > std::numeric_limits<std::int32_t>::max()) {
+      reject_unpackable();
+    }
+    if (tail_ == nullptr || tail_->count == kChunkEvents) new_chunk();
+    PackedEvent& p = tail_->data[tail_->count++];
+    p.cycle = e.cycle;
+    p.element = e.element;
+    p.bank = static_cast<std::int32_t>(e.bank);
+    p.port = static_cast<std::uint16_t>(e.port);
+    p.blocker = static_cast<std::uint16_t>(e.blocker);
+    p.kind = e.type == Event::Type::grant
+                 ? std::uint8_t{0}
+                 : static_cast<std::uint8_t>(1 + static_cast<int>(e.conflict));
+    ++size_;
+    ++recorded_;
+  }
 
   /// Retained events (<= capacity()).
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -107,6 +127,7 @@ class EventBuffer {
 
   /// Start a fresh tail chunk, evicting the oldest one at capacity.
   void new_chunk();
+  [[noreturn]] static void reject_unpackable();
 
   std::size_t capacity_;
   std::size_t size_ = 0;

@@ -158,11 +158,29 @@ class MemorySystem {
   /// with obs::Collector.
   void set_event_hook(EventHook hook);
 
-  /// Opaque encoding of the machine state that determines all future
-  /// behaviour of *infinite* streams (per-port phase, bank busy times,
-  /// rotation of the cyclic priority).  Equal keys => identical futures;
-  /// used for exact cycle detection in steady_state().
-  [[nodiscard]] std::vector<i64> state_key() const;
+  /// True when this system and `other` are in the same machine state: the
+  /// state that determines all future behaviour of *infinite* streams.  It
+  /// consists of each port's phase (next bank, or pattern position, and
+  /// the remaining wait before its start cycle), the rotation of the
+  /// cyclic priority, and every bank's remaining busy time, all relative
+  /// to each system's own now().  Absolute time, statistics and event
+  /// hooks are not part of it.  Equal states => identical futures: from
+  /// here on both systems emit the same (port, bank, type, conflict kind)
+  /// sequence.  Exact cycle detection in find_steady_state() rests on it.
+  ///
+  /// Meaningful for systems built from the same configuration, streams and
+  /// fault plan (typically copies of one system); systems whose port or
+  /// bank counts differ never compare equal.  Under a non-empty fault plan
+  /// the future also depends on the pending events and the dynamic fault
+  /// state, so those are compared as well, together with each port's raw
+  /// progress counter (under remap the phase alone does not fix the
+  /// effective bank).  While a plan is active, states therefore never
+  /// repeat across an interval in which any port was granted, which
+  /// soundly disables cycle detection rather than corrupting it.
+  ///
+  /// Allocates nothing.  Port phases and the priority rotation are
+  /// compared first, so unequal states usually differ after O(p) work.
+  [[nodiscard]] bool same_state(const MemorySystem& other) const;
 
  private:
   struct PortState {
@@ -172,6 +190,9 @@ class MemorySystem {
     [[nodiscard]] bool done() const noexcept { return issued >= cfg.length; }
   };
 
+  /// A port's phase as same_state() compares it: (next bank, or m plus
+  /// the pattern position, or -2 once done; remaining start wait).
+  [[nodiscard]] std::pair<i64, i64> phase_of(const PortState& port) const;
   void emit(const Event& e) const;
   void init_fault_state();
   void apply_due_faults();
@@ -194,9 +215,12 @@ class MemorySystem {
   std::vector<EventHook> hooks_;
   std::size_t live_hooks_ = 0;  ///< count of non-empty entries in hooks_
   std::size_t legacy_hook_ = static_cast<std::size_t>(-1);  ///< set_event_hook slot
-  // Per-step scratch (members to avoid per-cycle allocation).
+  // Per-step scratch (members to avoid per-cycle allocation).  Claims are
+  // made only by grants, and step() frees just the entries listed in
+  // claimed_ (the previous step's grants), so a step costs O(p), not O(m).
   std::vector<std::size_t> bank_claim_;
   std::vector<std::size_t> path_claim_;
+  std::vector<std::pair<std::size_t, std::size_t>> claimed_;  ///< (bank, path)
   // Dynamic fault state, advanced by apply_due_faults() at the start of
   // every step.  All-healthy when the plan is empty (the hot path then
   // only pays one cursor comparison).

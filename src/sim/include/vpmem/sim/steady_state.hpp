@@ -3,9 +3,12 @@
 // Section III assumes infinitely long streams: "the possible memory states
 // are finite, and some cyclic state will be reached.  Neglecting startup
 // times, we compute the effective bandwidth for the cyclic state."  This
-// module detects that cyclic state exactly by hashing the full machine
-// state each clock period, and reports b_eff as an exact rational
-// (grants per period over the detected cycle).
+// module detects that cyclic state exactly with Brent's cycle-finding
+// algorithm over MemorySystem::same_state(), and reports b_eff as an exact
+// rational (grants per period over the detected cycle).  Detection keeps
+// three MemorySystem objects (the initial state and two cursors), so its
+// memory is O(m + p) whatever the transient and period; it steps about
+// 2-4x mu + lambda clock periods.
 #pragma once
 
 #include <vector>
@@ -22,10 +25,12 @@ struct SteadyState {
   std::vector<Rational> per_port;      ///< per-port share of b_eff
   i64 transient_cycles = 0;            ///< periods before the cyclic state is entered
   i64 period = 0;                      ///< length of the cyclic state
-  i64 cycles_simulated = 0;            ///< clock periods stepped during detection
+  /// mu + lambda: the clock periods up to the first repeated state.  This
+  /// is not the number of periods detection steps (about 2-4x larger).
+  i64 cycles_simulated = 0;
   double wall_seconds = 0.0;           ///< wall-clock cost of the detection
-  /// Simulator throughput of the detection run (simulated clock periods
-  /// per wall-clock second); 0 when the run was too fast to time.
+  /// Detection throughput (cycles_simulated per wall-clock second); 0
+  /// when the run was too fast to time.
   [[nodiscard]] double cycles_per_second() const noexcept {
     return wall_seconds > 0.0 ? static_cast<double>(cycles_simulated) / wall_seconds : 0.0;
   }
@@ -42,10 +47,12 @@ struct SteadyState {
   [[nodiscard]] bool conflict_free() const noexcept { return conflicts_in_period.total() == 0; }
 };
 
-/// Detect the cyclic state for a set of *infinite* streams.  Throws
-/// std::invalid_argument if any stream is finite and std::runtime_error if
-/// no cycle is found within `max_cycles` periods (cannot happen for valid
-/// configurations; the bound is a defensive cap).
+/// Detect the cyclic state for a set of *infinite* streams: the minimal
+/// transient mu and period lambda with state(mu) == state(mu + lambda).
+/// Throws std::invalid_argument if any stream is finite and
+/// std::runtime_error exactly when mu + lambda > `max_cycles` (for valid
+/// fault-free configurations a cycle always exists; the bound is a
+/// defensive cap).
 [[nodiscard]] SteadyState find_steady_state(const MemoryConfig& config,
                                             const std::vector<StreamConfig>& streams,
                                             i64 max_cycles = 1'000'000);
@@ -61,7 +68,7 @@ struct OffsetSweep {
   std::vector<Rational> by_offset;  ///< index = b2
   // Perf telemetry of the sweep itself (summed over offsets); purely
   // observational — the bandwidths above are unaffected.
-  i64 cycles_simulated = 0;   ///< clock periods stepped across all points
+  i64 cycles_simulated = 0;   ///< SteadyState::cycles_simulated summed over all points
   double wall_seconds = 0.0;  ///< wall-clock cost of the whole sweep
   [[nodiscard]] double cycles_per_second() const noexcept {
     return wall_seconds > 0.0 ? static_cast<double>(cycles_simulated) / wall_seconds : 0.0;

@@ -1,6 +1,5 @@
 #include "vpmem/sim/event_buffer.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 namespace vpmem::sim {
@@ -37,24 +36,8 @@ void EventBuffer::new_chunk() {
   tail_ = &chunks_.back();
 }
 
-void EventBuffer::push(const Event& e) {
-  if (e.port > std::numeric_limits<std::uint16_t>::max() ||
-      e.blocker > std::numeric_limits<std::uint16_t>::max() ||
-      e.bank > std::numeric_limits<std::int32_t>::max()) {
-    throw std::invalid_argument{"EventBuffer::push: port/bank exceeds packed field width"};
-  }
-  if (tail_ == nullptr || tail_->count == kChunkEvents) new_chunk();
-  PackedEvent& p = tail_->data[tail_->count++];
-  p.cycle = e.cycle;
-  p.element = e.element;
-  p.bank = static_cast<std::int32_t>(e.bank);
-  p.port = static_cast<std::uint16_t>(e.port);
-  p.blocker = static_cast<std::uint16_t>(e.blocker);
-  p.kind = e.type == Event::Type::grant
-               ? std::uint8_t{0}
-               : static_cast<std::uint8_t>(1 + static_cast<int>(e.conflict));
-  ++size_;
-  ++recorded_;
+void EventBuffer::reject_unpackable() {
+  throw std::invalid_argument{"EventBuffer::push: port/bank exceeds packed field width"};
 }
 
 i64 EventBuffer::first_cycle() const {

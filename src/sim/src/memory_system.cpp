@@ -267,8 +267,11 @@ void MemorySystem::step() {
     ++now_;
     return;
   }
-  std::fill(bank_claim_.begin(), bank_claim_.end(), kFree);
-  std::fill(path_claim_.begin(), path_claim_.end(), kFree);
+  for (const auto& [bank, path] : claimed_) {
+    bank_claim_[bank] = kFree;
+    path_claim_[path] = kFree;
+  }
+  claimed_.clear();
 
   const std::size_t p = ports_.size();
   const std::size_t first = (config_.priority == PriorityRule::cyclic) ? rr_ % p : 0;
@@ -347,6 +350,7 @@ void MemorySystem::step() {
     // Grant.
     bank_claim_[bank_u] = idx;
     path_claim_[path] = idx;
+    claimed_.emplace_back(bank_u, path);
     bank_free_at_[bank_u] = now_ + bank_nc_[bank_u];
     bank_owner_[bank_u] = idx;
     ++bank_grants_[bank_u];
@@ -375,48 +379,51 @@ i64 MemorySystem::run(i64 cycles, bool stop_when_finished) {
   return done;
 }
 
-std::vector<i64> MemorySystem::state_key() const {
-  std::vector<i64> key;
-  key.reserve(ports_.size() * 2 + bank_free_at_.size() + 1);
-  for (const auto& p : ports_) {
-    if (p.done()) {
-      key.push_back(-2);  // finished
-      key.push_back(0);
-    } else if (p.cfg.has_pattern()) {
-      // Pattern phase fully determines the future; offset past the bank
-      // address domain so affine and pattern keys cannot collide.
-      key.push_back(config_.banks + p.issued % static_cast<i64>(p.cfg.bank_pattern.size()));
-      key.push_back(std::max<i64>(0, p.cfg.start_cycle - now_));
-    } else {
-      key.push_back(p.cfg.bank_of(p.issued, config_.banks));
-      key.push_back(std::max<i64>(0, p.cfg.start_cycle - now_));  // not yet started
+std::pair<i64, i64> MemorySystem::phase_of(const PortState& port) const {
+  if (port.done()) return {-2, 0};
+  const i64 wait = std::max<i64>(0, port.cfg.start_cycle - now_);
+  if (port.cfg.has_pattern()) {
+    // Pattern phase fully determines the future; offset past the bank
+    // address domain so affine and pattern phases cannot collide.
+    return {config_.banks + port.issued % static_cast<i64>(port.cfg.bank_pattern.size()), wait};
+  }
+  return {port.cfg.bank_of(port.issued, config_.banks), wait};
+}
+
+bool MemorySystem::same_state(const MemorySystem& other) const {
+  if (ports_.size() != other.ports_.size() ||
+      bank_free_at_.size() != other.bank_free_at_.size() ||
+      plan_.empty() != other.plan_.empty()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    if (phase_of(ports_[i]) != other.phase_of(other.ports_[i])) return false;
+  }
+  if (!ports_.empty() && rr_ % ports_.size() != other.rr_ % ports_.size()) return false;
+  const auto busy = [](i64 until, i64 now) { return std::max<i64>(0, until - now); };
+  for (std::size_t j = 0; j < bank_free_at_.size(); ++j) {
+    if (busy(bank_free_at_[j], now_) != busy(other.bank_free_at_[j], other.now_)) return false;
+  }
+  if (plan_.empty()) return true;
+  // A fault plan makes the future depend on absolute time (pending
+  // events), the dynamic fault state and, under remap, the raw progress
+  // counters (see the header).
+  const auto pending = [](const MemorySystem& s) { return s.plan_.events.size() - s.plan_cursor_; };
+  const auto next_due = [](const MemorySystem& s) {
+    return s.plan_cursor_ < s.plan_.events.size() ? s.plan_.events[s.plan_cursor_].cycle - s.now_
+                                                  : 0;
+  };
+  if (pending(*this) != pending(other) || next_due(*this) != next_due(other)) return false;
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    if (ports_[i].issued != other.ports_[i].issued) return false;
+  }
+  if (bank_online_ != other.bank_online_ || bank_nc_ != other.bank_nc_) return false;
+  for (std::size_t j = 0; j < bank_stall_until_.size(); ++j) {
+    if (busy(bank_stall_until_[j], now_) != busy(other.bank_stall_until_[j], other.now_)) {
+      return false;
     }
   }
-  for (i64 free_at : bank_free_at_) key.push_back(std::max<i64>(0, free_at - now_));
-  key.push_back(ports_.empty() ? 0 : static_cast<i64>(rr_ % ports_.size()));
-  if (!plan_.empty()) {
-    // A fault plan makes the future depend on absolute time (pending
-    // events) and on the dynamic fault state; fold all of it in.  Under
-    // remap the per-port phase above is insufficient (the effective bank
-    // depends on issued mod m'), so the raw progress counters are added —
-    // keys then never repeat while a plan is active, which soundly
-    // disables cycle detection rather than corrupting it.
-    key.push_back(-3);  // domain separator
-    key.push_back(static_cast<i64>(plan_.events.size() - plan_cursor_));
-    key.push_back(plan_cursor_ < plan_.events.size()
-                      ? plan_.events[plan_cursor_].cycle - now_
-                      : 0);
-    for (const auto& p : ports_) key.push_back(p.issued);
-    for (std::uint8_t on : bank_online_) key.push_back(on);
-    for (i64 nc : bank_nc_) key.push_back(nc);
-    for (i64 until : bank_stall_until_) key.push_back(std::max<i64>(0, until - now_));
-    key.push_back(static_cast<i64>(paths_down_.size()));
-    for (const auto& [c, s] : paths_down_) {
-      key.push_back(c);
-      key.push_back(s);
-    }
-  }
-  return key;
+  return paths_down_ == other.paths_down_;
 }
 
 SystemState MemorySystem::checkpoint() const {

@@ -1,7 +1,8 @@
 #include "vpmem/sim/steady_state.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <map>
+#include <limits>
 #include <stdexcept>
 
 #include "vpmem/sim/memory_system.hpp"
@@ -9,15 +10,6 @@
 namespace vpmem::sim {
 
 namespace {
-
-struct Snapshot {
-  i64 cycle = 0;
-  std::vector<PortStats> ports;
-};
-
-Snapshot snapshot_of(const MemorySystem& mem) {
-  return Snapshot{.cycle = mem.now(), .ports = mem.all_stats()};
-}
 
 PortStats delta(const PortStats& later, const PortStats& earlier) {
   PortStats d;
@@ -31,6 +23,10 @@ PortStats delta(const PortStats& later, const PortStats& earlier) {
   return d;
 }
 
+[[noreturn]] void no_cycle() {
+  throw std::runtime_error{"find_steady_state: no cyclic state within max_cycles"};
+}
+
 }  // namespace
 
 SteadyState find_steady_state(const MemoryConfig& config,
@@ -41,40 +37,65 @@ SteadyState find_steady_state(const MemoryConfig& config,
     }
   }
   const auto wall_start = std::chrono::steady_clock::now();
-  MemorySystem mem{config, streams};
-  std::map<std::vector<i64>, Snapshot> seen;
+  // Brent's cycle detection (R. P. Brent, BIT 20, 1980) over three
+  // systems reused by copy-assignment: the initial state and two cursors.
+  const MemorySystem start{config, streams};
+  MemorySystem tortoise = start;
+  MemorySystem hare = start;
 
-  for (i64 t = 0; t <= max_cycles; ++t) {
-    auto key = mem.state_key();
-    auto [it, inserted] = seen.try_emplace(std::move(key), snapshot_of(mem));
-    if (!inserted) {
-      const Snapshot& first = it->second;
-      const Snapshot now = snapshot_of(mem);
-      SteadyState out;
-      out.transient_cycles = first.cycle;
-      out.period = now.cycle - first.cycle;
-      out.grants_in_period.reserve(now.ports.size());
-      i64 total_grants = 0;
-      for (std::size_t i = 0; i < now.ports.size(); ++i) {
-        const PortStats d = delta(now.ports[i], first.ports[i]);
-        out.grants_in_period.push_back(d.grants);
-        total_grants += d.grants;
-        out.per_port.push_back(Rational{d.grants, out.period});
-        out.conflicts_in_period.bank += d.bank_conflicts;
-        out.conflicts_in_period.simultaneous += d.simultaneous_conflicts;
-        out.conflicts_in_period.section += d.section_conflicts;
-        out.conflicts_in_period.fault += d.fault_conflicts;
-        out.per_port_delta.push_back(d);
-      }
-      out.bandwidth = Rational{total_grants, out.period};
-      out.cycles_simulated = now.cycle;
-      out.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-      return out;
+  // Phase 1: the period lambda.  The tortoise waits at t = 2^k - 1 while
+  // the hare walks up to 2^k periods past it, so a repeat with
+  // mu + lambda <= max_cycles is seen before the hare passes
+  // 3 * (mu + lambda) periods; hare_cap stops the search well beyond that.
+  const i64 hare_cap =
+      4 * (std::clamp<i64>(max_cycles, 0, std::numeric_limits<i64>::max() / 4 - 1) + 1);
+  hare.step();
+  i64 power = 1;
+  i64 period = 1;
+  while (!tortoise.same_state(hare)) {
+    if (hare.now() >= hare_cap) no_cycle();
+    if (power == period) {
+      tortoise = hare;
+      power *= 2;
+      period = 0;
     }
-    mem.step();
+    hare.step();
+    ++period;
   }
-  throw std::runtime_error{"find_steady_state: no cyclic state within max_cycles"};
+
+  // Phase 2: the transient mu, the first state that recurs lambda periods
+  // later.  The stats snapshots are then taken at mu and mu + lambda.
+  tortoise = start;
+  hare = start;
+  for (i64 t = 0; t < period; ++t) hare.step();
+  while (!tortoise.same_state(hare)) {
+    tortoise.step();
+    hare.step();
+  }
+  if (hare.now() > max_cycles) no_cycle();
+
+  SteadyState out;
+  out.transient_cycles = tortoise.now();
+  out.period = period;
+  const std::size_t ports = hare.port_count();
+  out.grants_in_period.reserve(ports);
+  i64 total_grants = 0;
+  for (std::size_t i = 0; i < ports; ++i) {
+    const PortStats d = delta(hare.port_stats(i), tortoise.port_stats(i));
+    out.grants_in_period.push_back(d.grants);
+    total_grants += d.grants;
+    out.per_port.push_back(Rational{d.grants, out.period});
+    out.conflicts_in_period.bank += d.bank_conflicts;
+    out.conflicts_in_period.simultaneous += d.simultaneous_conflicts;
+    out.conflicts_in_period.section += d.section_conflicts;
+    out.conflicts_in_period.fault += d.fault_conflicts;
+    out.per_port_delta.push_back(d);
+  }
+  out.bandwidth = Rational{total_grants, out.period};
+  out.cycles_simulated = hare.now();
+  out.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+  return out;
 }
 
 OffsetSweep sweep_start_offsets(const MemoryConfig& config, i64 d1, i64 d2, bool same_cpu,

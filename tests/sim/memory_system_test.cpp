@@ -208,19 +208,22 @@ TEST(MemorySystem, NextBankAndElementsDone) {
   EXPECT_TRUE(mem.port_done(0));
 }
 
-TEST(MemorySystem, StateKeyRepeatsWithCyclicBehaviour) {
+TEST(MemorySystem, SameStateRepeatsWithCyclicBehaviour) {
   // A single conflict-free infinite stream has period r = m once past the
   // cold start (the t = 0 state has no residually busy banks, so it never
   // recurs).
   MemorySystem mem{flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 1}}};
-  const auto cold = mem.state_key();
+  const MemorySystem cold = mem;
   for (int i = 0; i < 8; ++i) mem.step();
-  const auto warm = mem.state_key();
-  EXPECT_NE(warm, cold);
+  const MemorySystem warm = mem;
+  EXPECT_TRUE(warm.same_state(mem));
+  EXPECT_FALSE(warm.same_state(cold));
   for (int i = 0; i < 8; ++i) mem.step();
-  EXPECT_EQ(mem.state_key(), warm);
+  EXPECT_TRUE(mem.same_state(warm));
+  EXPECT_TRUE(warm.same_state(mem));
+  EXPECT_NE(mem.now(), warm.now());  // absolute time is not part of the state
   mem.step();
-  EXPECT_NE(mem.state_key(), warm);
+  EXPECT_FALSE(mem.same_state(warm));
 }
 
 TEST(MemorySystem, DistanceLargerThanBanksWrap) {
