@@ -68,15 +68,40 @@ void bm_find_steady_state(benchmark::State& state) {
 }
 BENCHMARK(bm_find_steady_state)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
+// The X-MP driver adds one simulator port per vector instruction (64+3
+// at n = 1024) but only a handful are live at once; cycles_per_second is
+// the per-simulated-cycle cost of the driver plus the engine.
 void bm_triad_n1024(benchmark::State& state) {
   xmp::XmpConfig machine;
   xmp::TriadSetup setup;
   setup.inc = 2;
+  i64 cycles = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(xmp::run_triad(machine, setup, /*other_cpu_active=*/true));
+    const xmp::TriadResult r = xmp::run_triad(machine, setup, /*other_cpu_active=*/true);
+    cycles += r.cycles;
+    benchmark::DoNotOptimize(r);
   }
+  state.counters["cycles_per_second"] =
+      benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(bm_triad_n1024);
+
+// Both CPUs cooperating on one triad: two drivers share one system.
+void bm_kernel_multitasked_n1024(benchmark::State& state) {
+  xmp::XmpConfig machine;
+  xmp::TriadSetup setup;
+  setup.inc = 2;
+  i64 cycles = 0;
+  for (auto _ : state) {
+    const xmp::MultitaskResult r =
+        xmp::run_kernel_multitasked(machine, xmp::triad_kernel(), setup);
+    cycles += r.cycles;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["cycles_per_second"] =
+      benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+BENCHMARK(bm_kernel_multitasked_n1024);
 
 void bm_offset_sweep(benchmark::State& state) {
   const sim::MemoryConfig cfg{.banks = 16, .sections = 16, .bank_cycle = 4};

@@ -61,6 +61,11 @@ class ReferenceModel {
   ReferenceModel(sim::MemoryConfig config, std::vector<sim::StreamConfig> streams,
                  FaultKind fault = FaultKind::none, sim::FaultPlan plan = {});
 
+  /// Append a port mid-run, like MemorySystem::add_stream: it takes the
+  /// next port index (the lowest fixed priority).  Throws
+  /// std::invalid_argument when `start_cycle` lies in the past.
+  std::size_t add_stream(const sim::StreamConfig& stream);
+
   /// Advance the clock by one period.
   void step();
 

@@ -145,6 +145,16 @@ std::size_t ReferenceModel::same_period_path_winner(i64 cpu, i64 section, i64 t)
   return kNobody;
 }
 
+std::size_t ReferenceModel::add_stream(const sim::StreamConfig& stream) {
+  stream.validate(config_);
+  if (stream.start_cycle < now_) {
+    throw std::invalid_argument{"ReferenceModel::add_stream: start_cycle lies in the past"};
+  }
+  streams_.push_back(stream);
+  issued_.push_back(0);
+  return streams_.size() - 1;
+}
+
 void ReferenceModel::step() {
   const i64 t = now_;
   const std::size_t p = streams_.size();

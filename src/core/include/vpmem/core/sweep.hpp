@@ -1,75 +1,14 @@
-// Thread-parallel parameter sweeps.  Simulations of distinct parameter
-// points are independent, so sweeps (all INC values of Fig. 10, all
-// (d1, d2) pairs of the classification grid) fan out across a thread pool.
+// Worker-count policy for thread-parallel parameter sweeps.  Simulations
+// of distinct parameter points are independent, so sweeps (all INC values
+// of Fig. 10, all (d1, d2) pairs of the classification grid) fan out
+// across exec::parallel_for.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <stdexcept>
-#include <thread>
-#include <vector>
-
-#include "vpmem/obs/timer.hpp"
 
 namespace vpmem::core {
 
 /// Number of workers to use: min(hint, hardware_concurrency), at least 1.
 [[nodiscard]] std::size_t default_workers(std::size_t hint = 0);
-
-/// Apply `fn` to every index in [0, count) on `workers` threads and return
-/// the results in index order.  `fn` must be callable concurrently; any
-/// exception it throws is rethrown on the caller's thread (first one wins).
-///
-/// When `telemetry` is non-null every point's wall-clock latency is
-/// recorded into it (thread-safe); `fn` may additionally report the clock
-/// periods it stepped via SweepTelemetry::add_cycles so the sweep's
-/// simulated-cycles-per-second is meaningful.  Telemetry never changes
-/// the results.
-template <typename R>
-std::vector<R> parallel_index_map(std::size_t count, const std::function<R(std::size_t)>& fn,
-                                  std::size_t workers = 0,
-                                  obs::SweepTelemetry* telemetry = nullptr) {
-  if (!fn) throw std::invalid_argument{"parallel_index_map: fn must be callable"};
-  workers = default_workers(workers);
-  const auto timed_fn = [&](std::size_t i) {
-    if (telemetry == nullptr) return fn(i);
-    const obs::Stopwatch watch;
-    R result = fn(i);
-    telemetry->record_point(watch.seconds());
-    return result;
-  };
-  std::vector<R> results(count);
-  if (count == 0) return results;
-  if (workers <= 1 || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) results[i] = timed_fn(i);
-    return results;
-  }
-  std::vector<std::exception_ptr> errors(workers);
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      try {
-        for (std::size_t i = w; i < count; i += workers) results[i] = timed_fn(i);
-      } catch (...) {
-        errors[w] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return results;
-}
-
-/// Convenience: map over a vector of inputs.
-template <typename R, typename T>
-std::vector<R> parallel_map(const std::vector<T>& inputs, const std::function<R(const T&)>& fn,
-                            std::size_t workers = 0,
-                            obs::SweepTelemetry* telemetry = nullptr) {
-  return parallel_index_map<R>(
-      inputs.size(), [&](std::size_t i) { return fn(inputs[i]); }, workers, telemetry);
-}
 
 }  // namespace vpmem::core

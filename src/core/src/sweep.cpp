@@ -1,6 +1,7 @@
 #include "vpmem/core/sweep.hpp"
 
 #include <algorithm>
+#include <thread>
 
 namespace vpmem::core {
 

@@ -1,8 +1,10 @@
 #include "vpmem/core/triad_experiment.hpp"
 
+#include <exception>
 #include <stdexcept>
 
 #include "vpmem/core/sweep.hpp"
+#include "vpmem/exec/pool.hpp"
 
 namespace vpmem::core {
 
@@ -13,26 +15,41 @@ std::vector<TriadRow> run_triad_experiment(const TriadExperiment& experiment,
     throw std::invalid_argument{"run_triad_experiment: bad INC range"};
   }
   const auto count = static_cast<std::size_t>(experiment.inc_max - experiment.inc_min + 1);
-  return parallel_index_map<TriadRow>(
-      count,
-      [&](std::size_t i) {
-        xmp::TriadSetup setup = experiment.setup;
-        setup.inc = experiment.inc_min + static_cast<i64>(i);
-        const xmp::TriadResult contended =
-            xmp::run_triad(experiment.machine, setup, /*other_cpu_active=*/true);
-        const xmp::TriadResult dedicated =
-            xmp::run_triad(experiment.machine, setup, /*other_cpu_active=*/false);
-        TriadRow row;
-        row.inc = setup.inc;
-        row.cycles_contended = contended.cycles;
-        row.cycles_dedicated = dedicated.cycles;
-        row.conflicts_contended = contended.conflicts;
-        row.conflicts_dedicated = dedicated.conflicts;
-        row.background_goodput = contended.background_goodput();
-        if (telemetry != nullptr) telemetry->add_cycles(contended.cycles + dedicated.cycles);
-        return row;
-      },
-      workers, telemetry);
+  // Every slot is written by exactly one worker; an error is kept in its
+  // slot and rethrown on the caller's thread (the lowest INC wins).
+  std::vector<TriadRow> rows(count);
+  std::vector<std::exception_ptr> errors(count);
+  const auto run_row = [&](i64 i, int /*worker*/) {
+    const auto slot = static_cast<std::size_t>(i);
+    try {
+      const obs::Stopwatch watch;
+      xmp::TriadSetup setup = experiment.setup;
+      setup.inc = experiment.inc_min + i;
+      const xmp::TriadResult contended =
+          xmp::run_triad(experiment.machine, setup, /*other_cpu_active=*/true);
+      const xmp::TriadResult dedicated =
+          xmp::run_triad(experiment.machine, setup, /*other_cpu_active=*/false);
+      TriadRow& row = rows[slot];
+      row.inc = setup.inc;
+      row.cycles_contended = contended.cycles;
+      row.cycles_dedicated = dedicated.cycles;
+      row.conflicts_contended = contended.conflicts;
+      row.conflicts_dedicated = dedicated.conflicts;
+      row.background_goodput = contended.background_goodput();
+      if (telemetry != nullptr) {
+        telemetry->add_cycles(contended.cycles + dedicated.cycles);
+        telemetry->record_point(watch.seconds());
+      }
+    } catch (...) {
+      errors[slot] = std::current_exception();
+    }
+  };
+  exec::parallel_for(static_cast<i64>(count), static_cast<int>(default_workers(workers)),
+                     run_row);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return rows;
 }
 
 Table triad_table(const std::vector<TriadRow>& rows) {

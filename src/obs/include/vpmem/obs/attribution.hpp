@@ -16,6 +16,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "vpmem/sim/config.hpp"
@@ -77,7 +78,9 @@ class ConflictAttribution {
   explicit ConflictAttribution(const sim::MemoryConfig& config, AttributionOptions options = {});
 
   /// Fold one event.  Events must arrive in non-decreasing cycle order.
-  /// The grant path is inline: it is the per-event cost of tracing.
+  /// Inline, with the rare steps (new port, new blocker, episode
+  /// boundaries, a bank joining the open episode) out of line: this is
+  /// the per-event cost of tracing.
   void observe(const sim::Event& e) {
     if (finalized_) reject_after_finalize();
     last_cycle_ = std::max(last_cycle_, e.cycle);
@@ -85,12 +88,26 @@ class ConflictAttribution {
       observe_conflict(e);
       return;
     }
-    // Events arrive in (mostly) non-decreasing cycle order, so the
-    // current window is cached and the division only runs when the cycle
-    // leaves it.
-    if (e.cycle >= window_end_ || e.cycle < window_end_ - options_.window) enter_window(e.cycle);
-    ++window_grants_[cur_window_];
-    ++total_grants_;
+    add_grants(e.cycle, 1);
+  }
+
+  /// Fold one clock period's events (all of one cycle, as an
+  /// sim::EventSink receives them).  Same result as observe() on each in
+  /// order, but the grants are counted once for the period.
+  void observe_cycle(std::span<const sim::Event> events) {
+    if (finalized_) reject_after_finalize();
+    if (events.empty()) return;
+    const i64 cycle = events.front().cycle;
+    last_cycle_ = std::max(last_cycle_, cycle);
+    i64 grants = 0;
+    for (const sim::Event& e : events) {
+      if (e.type == sim::Event::Type::grant) {
+        ++grants;
+      } else {
+        observe_conflict(e);
+      }
+    }
+    if (grants > 0) add_grants(cycle, grants);
   }
 
   /// Close open episodes and the final (possibly partial) b_eff window.
@@ -151,10 +168,39 @@ class ConflictAttribution {
     std::vector<std::uint8_t> bank_in_episode;
   };
 
-  PortFold& fold_for(std::size_t port);
+  void add_grants(i64 cycle, i64 grants) {
+    // Events arrive in (mostly) non-decreasing cycle order, so the
+    // current window is cached and the division only runs when the cycle
+    // leaves it.
+    if (cycle >= window_end_ || cycle < window_end_ - options_.window) enter_window(cycle);
+    window_grants_[cur_window_] += grants;
+    total_grants_ += grants;
+  }
+
+  void observe_conflict(const sim::Event& e) {
+    if (e.port >= ports_.size()) add_ports(e.port);
+    PortFold& fold = ports_[e.port];
+    const auto bank = static_cast<std::size_t>(e.bank);
+    const auto kind = static_cast<std::size_t>(e.conflict);
+    // The (bank, kind) matrix is the only per-kind store on the hot path;
+    // by-kind and grand totals are row sums computed at query time.
+    ++fold.by_bank_kind[bank * sim::kConflictKinds + kind];
+    if (e.blocker >= fold.by_blocker.size()) fold.by_blocker.resize(e.blocker + 1, 0);
+    ++fold.by_blocker[e.blocker];
+    // Episode tracking: merge stalls separated by at most gap_ periods.
+    if (!fold.episode_open || e.cycle - fold.open.last > gap_) open_episode(fold, e);
+    fold.open.last = e.cycle;
+    ++fold.open.lost_cycles;
+    ++fold.open_kinds[kind];  // indexed, not switched: the mix is unpredictable
+    if (fold.bank_in_episode[bank] == 0) join_episode(fold, e.bank);
+  }
+
+  void add_ports(std::size_t port);
   [[noreturn]] static void reject_after_finalize();
   void enter_window(i64 cycle);
-  void observe_conflict(const sim::Event& e);
+  /// Close the port's open episode, if any, and open one at `e`.
+  void open_episode(PortFold& fold, const sim::Event& e);
+  void join_episode(PortFold& fold, i64 bank);
   void close_episode(PortFold& fold);
 
   sim::MemoryConfig config_;

@@ -44,7 +44,7 @@ struct TracerOptions {
 /// Lifecycle: construct before running (attaches the hook), step the
 /// system, call finish() (detaches, finalizes attribution), then export.
 /// The destructor calls finish() if it has not run yet.
-class Tracer {
+class Tracer : private sim::EventSink {
  public:
   explicit Tracer(sim::MemorySystem& mem, TracerOptions options = {});
   ~Tracer();
@@ -81,14 +81,17 @@ class Tracer {
   void save_chrome_trace(const std::string& path);
 
  private:
+  /// The tracing hot path: one call per simulated step buffers the
+  /// step's events and folds them into the attribution.
+  void on_events(std::span<const sim::Event> events) override;
+
   sim::MemorySystem& mem_;
   TracerOptions options_;
   std::shared_ptr<sim::EventBuffer> buffer_;
   std::unique_ptr<ConflictAttribution> attribution_;
-  // One hook does both the buffer push and the attribution fold: a single
-  // std::function dispatch per simulated event is what keeps the traced
-  // engine within the 2x overhead budget (steady_perf_test).
-  std::size_t hook_ = 0;
+  // A typed sink does both the buffer push and the attribution fold, one
+  // virtual call per simulated step: that is what keeps the traced engine
+  // within the 2x overhead budget (steady_perf_test).
   bool attached_ = false;
   bool finished_ = false;
 };

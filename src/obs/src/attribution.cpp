@@ -27,17 +27,27 @@ ConflictAttribution::ConflictAttribution(const sim::MemoryConfig& config,
   if (options_.window <= 0) throw std::invalid_argument{"ConflictAttribution: window must be > 0"};
 }
 
-ConflictAttribution::PortFold& ConflictAttribution::fold_for(std::size_t port) {
-  if (port >= ports_.size()) {
-    ports_.resize(port + 1);
-    for (auto& f : ports_) {
-      if (f.by_bank_kind.empty()) {
-        f.by_bank_kind.assign(static_cast<std::size_t>(config_.banks) * sim::kConflictKinds, 0);
-        f.bank_in_episode.assign(static_cast<std::size_t>(config_.banks), 0);
-      }
+void ConflictAttribution::add_ports(std::size_t port) {
+  ports_.resize(port + 1);
+  for (auto& f : ports_) {
+    if (f.by_bank_kind.empty()) {
+      f.by_bank_kind.assign(static_cast<std::size_t>(config_.banks) * sim::kConflictKinds, 0);
+      f.bank_in_episode.assign(static_cast<std::size_t>(config_.banks), 0);
     }
   }
-  return ports_[port];
+}
+
+void ConflictAttribution::open_episode(PortFold& fold, const sim::Event& e) {
+  close_episode(fold);
+  fold.episode_open = true;
+  fold.open.port = e.port;
+  fold.open.onset = e.cycle;
+  fold.open_kinds = {};
+}
+
+void ConflictAttribution::join_episode(PortFold& fold, i64 bank) {
+  fold.bank_in_episode[static_cast<std::size_t>(bank)] = 1;
+  fold.open.banks.push_back(bank);  // sorted when the episode closes
 }
 
 void ConflictAttribution::close_episode(PortFold& fold) {
@@ -79,33 +89,6 @@ void ConflictAttribution::enter_window(i64 cycle) {
   if (w >= window_grants_.size()) window_grants_.resize(w + 1, 0);
   cur_window_ = w;
   window_end_ = (static_cast<i64>(w) + 1) * options_.window;
-}
-
-void ConflictAttribution::observe_conflict(const sim::Event& e) {
-  PortFold& fold = fold_for(e.port);
-  const auto kind = static_cast<std::size_t>(e.conflict);
-  // The (bank, kind) matrix is the only per-kind store on the hot path;
-  // by-kind and grand totals are row sums computed at query time.
-  ++fold.by_bank_kind[static_cast<std::size_t>(e.bank) * sim::kConflictKinds + kind];
-  if (e.blocker >= fold.by_blocker.size()) fold.by_blocker.resize(e.blocker + 1, 0);
-  ++fold.by_blocker[e.blocker];
-
-  // Episode tracking: merge stalls separated by at most gap_ periods.
-  if (fold.episode_open && e.cycle - fold.open.last > gap_) close_episode(fold);
-  if (!fold.episode_open) {
-    fold.episode_open = true;
-    fold.open.port = e.port;
-    fold.open.onset = e.cycle;
-    fold.open_kinds = {};
-  }
-  fold.open.last = e.cycle;
-  ++fold.open.lost_cycles;
-  ++fold.open_kinds[kind];  // indexed, not switched: the mix is unpredictable
-  std::uint8_t& seen = fold.bank_in_episode[static_cast<std::size_t>(e.bank)];
-  if (seen == 0) {
-    seen = 1;
-    fold.open.banks.push_back(e.bank);  // sorted when the episode closes
-  }
 }
 
 void ConflictAttribution::finalize(i64 end_cycle) {

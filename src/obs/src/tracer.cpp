@@ -16,24 +16,20 @@ Tracer::Tracer(sim::MemorySystem& mem, TracerOptions options)
         mem.config(),
         AttributionOptions{.window = options_.window, .episode_gap = options_.episode_gap});
   }
-  sim::EventBuffer* buffer = buffer_.get();
-  ConflictAttribution* attribution = attribution_.get();
-  if (attribution != nullptr) {
-    hook_ = mem_.add_event_hook([buffer, attribution](const sim::Event& e) {
-      buffer->push(e);
-      attribution->observe(e);
-    });
-  } else {
-    hook_ = mem_.add_event_hook([buffer](const sim::Event& e) { buffer->push(e); });
-  }
+  mem_.add_event_sink(*this);
   attached_ = true;
 }
 
 Tracer::~Tracer() { finish(); }
 
+void Tracer::on_events(std::span<const sim::Event> events) {
+  buffer_->push(events);
+  if (attribution_) attribution_->observe_cycle(events);
+}
+
 void Tracer::finish() {
   if (attached_) {
-    mem_.remove_event_hook(hook_);
+    mem_.remove_event_sink(*this);
     attached_ = false;
   }
   if (finished_) return;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,20 @@ struct Event {
                             ///< winner for simultaneous/section conflicts,
                             ///< the port holding the bank for bank conflicts
                             ///< (the requester itself for a self conflict)
+};
+
+/// Typed consumer of the simulator's event stream
+/// (MemorySystem::add_event_sink).  The engine hands a sink each clock
+/// period's events in one call, after the period's arbitration: one
+/// virtual call per cycle instead of one type-erased call per event, and
+/// a sink can fold what every event of the period shares (the cycle) once.
+class EventSink {
+ public:
+  virtual ~EventSink() = default;
+  /// The events of one clock period, in emission (priority) order.  All
+  /// share one cycle; the span is never empty and is only valid during
+  /// the call.  Must not mutate the system.
+  virtual void on_events(std::span<const Event> events) = 0;
 };
 
 /// Aggregate counters for one port.  A "conflict" is counted once per

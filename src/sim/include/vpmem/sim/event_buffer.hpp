@@ -14,6 +14,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "vpmem/sim/event.hpp"
@@ -68,36 +69,42 @@ class EventBuffer {
   /// Record one event, evicting the oldest chunk when full.  Inline: the
   /// tracing hot path calls it once per event.
   void push(const Event& e) {
-    if (e.port > std::numeric_limits<std::uint16_t>::max() ||
-        e.blocker > std::numeric_limits<std::uint16_t>::max() ||
-        e.bank > std::numeric_limits<std::int32_t>::max()) {
-      reject_unpackable();
+    check_packable(e);
+    if (cursor_ == tail_end_) new_chunk();
+    pack(*cursor_++, e);
+  }
+
+  /// Record a batch (one step's events, as a sim::EventSink receives
+  /// them).  Same result as push() on each in order.
+  void push(std::span<const Event> events) {
+    // A local cursor: the packed kind byte may alias any member, which
+    // would otherwise force a reload of cursor_ per event.
+    PackedEvent* cursor = cursor_;
+    for (const Event& e : events) {
+      check_packable(e);
+      if (cursor == tail_end_) {
+        cursor_ = cursor;
+        new_chunk();
+        cursor = cursor_;
+      }
+      pack(*cursor++, e);
     }
-    if (tail_ == nullptr || tail_->count == kChunkEvents) new_chunk();
-    PackedEvent& p = tail_->data[tail_->count++];
-    p.cycle = e.cycle;
-    p.element = e.element;
-    p.bank = static_cast<std::int32_t>(e.bank);
-    p.port = static_cast<std::uint16_t>(e.port);
-    p.blocker = static_cast<std::uint16_t>(e.blocker);
-    p.kind = e.type == Event::Type::grant
-                 ? std::uint8_t{0}
-                 : static_cast<std::uint8_t>(1 + static_cast<int>(e.conflict));
-    ++size_;
-    ++recorded_;
+    cursor_ = cursor;
   }
 
   /// Retained events (<= capacity()).
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_ + tail_fill(); }
   /// Events ever pushed, including evicted ones.
-  [[nodiscard]] i64 recorded() const noexcept { return recorded_; }
+  [[nodiscard]] i64 recorded() const noexcept {
+    return recorded_ + static_cast<i64>(tail_fill());
+  }
   /// Events evicted to stay within capacity.
   [[nodiscard]] i64 dropped() const noexcept { return recorded_ - static_cast<i64>(size_); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   /// Packed bytes currently held.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return size_ * sizeof(PackedEvent);
+    return size() * sizeof(PackedEvent);
   }
 
   /// Cycle of the oldest retained event (0 when empty) — the start of the
@@ -108,7 +115,8 @@ class EventBuffer {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const auto& chunk : chunks_) {
-      for (std::size_t i = 0; i < chunk.count; ++i) fn(chunk.data[i].unpack());
+      const std::size_t count = &chunk == tail_ ? tail_fill() : chunk.count;
+      for (std::size_t i = 0; i < count; ++i) fn(chunk.data[i].unpack());
     }
   }
 
@@ -119,21 +127,50 @@ class EventBuffer {
   void clear();
 
  private:
-  /// Fixed-size slab of kChunkEvents; `count` events are valid.
+  /// Fixed-size slab of kChunkEvents; `count` events are valid.  The
+  /// tail chunk's count is only written when it fills up: push() just
+  /// advances cursor_, and tail_fill() reads the tail's count from it.
   struct Chunk {
     std::unique_ptr<PackedEvent[]> data;
     std::size_t count = 0;
   };
 
-  /// Start a fresh tail chunk, evicting the oldest one at capacity.
+  static void check_packable(const Event& e) {
+    if (e.port > std::numeric_limits<std::uint16_t>::max() ||
+        e.blocker > std::numeric_limits<std::uint16_t>::max() ||
+        e.bank > std::numeric_limits<std::int32_t>::max()) {
+      reject_unpackable();
+    }
+  }
+
+  static void pack(PackedEvent& p, const Event& e) noexcept {
+    p.cycle = e.cycle;
+    p.element = e.element;
+    p.bank = static_cast<std::int32_t>(e.bank);
+    p.port = static_cast<std::uint16_t>(e.port);
+    p.blocker = static_cast<std::uint16_t>(e.blocker);
+    p.kind = e.type == Event::Type::grant
+                 ? std::uint8_t{0}
+                 : static_cast<std::uint8_t>(1 + static_cast<int>(e.conflict));
+  }
+
+  /// Events in the tail chunk.
+  [[nodiscard]] std::size_t tail_fill() const noexcept {
+    return tail_ == nullptr ? 0 : static_cast<std::size_t>(cursor_ - tail_->data.get());
+  }
+
+  /// Seal the full tail chunk and start a fresh one, evicting the oldest
+  /// chunk at capacity.
   void new_chunk();
   [[noreturn]] static void reject_unpackable();
 
   std::size_t capacity_;
-  std::size_t size_ = 0;
-  i64 recorded_ = 0;
+  std::size_t size_ = 0;  ///< retained events in sealed chunks
+  i64 recorded_ = 0;      ///< events ever pushed into sealed chunks
   std::deque<Chunk> chunks_;
   Chunk* tail_ = nullptr;  ///< cached &chunks_.back(); stable across pop_front
+  PackedEvent* cursor_ = nullptr;    ///< next free slot of the tail chunk
+  PackedEvent* tail_end_ = nullptr;  ///< one past the tail chunk's last slot
   /// Pre-faulted spare slabs; new_chunk() draws from here (or recycles an
   /// evicted chunk) so the steady state is allocation-free.
   std::vector<std::unique_ptr<PackedEvent[]>> free_;

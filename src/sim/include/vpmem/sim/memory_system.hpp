@@ -109,16 +109,20 @@ class MemorySystem {
   [[nodiscard]] SystemState checkpoint() const;
   [[nodiscard]] std::size_t port_count() const noexcept { return ports_.size(); }
   [[nodiscard]] const StreamConfig& stream(std::size_t port) const;
-  [[nodiscard]] const PortStats& port_stats(std::size_t port) const;
+  [[nodiscard]] const PortStats& port_stats(std::size_t port) const {
+    return ports_.at(port).stats;
+  }
   [[nodiscard]] std::vector<PortStats> all_stats() const;
 
   /// Elements granted so far on `port`.
   [[nodiscard]] i64 elements_done(std::size_t port) const;
 
   /// True once `port` has transferred all its elements.
-  [[nodiscard]] bool port_done(std::size_t port) const;
+  [[nodiscard]] bool port_done(std::size_t port) const { return ports_.at(port).done(); }
 
   /// Bank the port will request next (nullopt once the stream finished).
+  /// Under FaultPolicy::remap_spare this is the remapped bank, exactly
+  /// the one step() will request.
   [[nodiscard]] std::optional<i64> next_bank(std::size_t port) const;
 
   /// Remaining active periods of `bank` (0 == inactive).
@@ -147,8 +151,17 @@ class MemorySystem {
   /// Detach the hook with the given handle (no-op if already removed).
   void remove_event_hook(std::size_t handle);
 
-  /// Number of hooks currently attached.
+  /// Number of event consumers currently attached: hooks plus sinks.
   [[nodiscard]] std::size_t event_hook_count() const noexcept;
+
+  /// Attach a typed sink: it receives each step's events in one call at
+  /// the end of that step (after the hooks saw them one by one).  The
+  /// sink is not owned and must outlive its attachment; sinks fire in
+  /// attachment order.  Attaching the same sink twice is an error.
+  void add_event_sink(EventSink& sink);
+
+  /// Detach `sink` (no-op if it is not attached).
+  void remove_event_sink(const EventSink& sink);
 
   /// \deprecated Legacy single-hook interface, kept only for pre-
   /// multiplexer callers; use add_event_hook/remove_event_hook in new
@@ -210,11 +223,18 @@ class MemorySystem {
   i64 now_ = 0;
   i64 max_cpu_ = 0;
   std::size_t rr_ = 0;  ///< highest-priority port under PriorityRule::cyclic
+  /// Indices of the ports that are not done, ascending.  step() visits
+  /// only these, so a run whose finished ports are never retired (the
+  /// X-MP driver adds one port per vector instruction) costs O(live
+  /// ports) per cycle.  rr_ still rotates over all port indices.
+  std::vector<std::size_t> live_;
   /// Attached hooks, keyed by handle; removed entries stay as empty
   /// functions so handles remain stable (hook churn is rare and tiny).
   std::vector<EventHook> hooks_;
   std::size_t live_hooks_ = 0;  ///< count of non-empty entries in hooks_
   std::size_t legacy_hook_ = static_cast<std::size_t>(-1);  ///< set_event_hook slot
+  std::vector<EventSink*> sinks_;
+  std::vector<Event> step_events_;  ///< this step's events (scratch, >= live ports)
   // Per-step scratch (members to avoid per-cycle allocation).  Claims are
   // made only by grants, and step() frees just the entries listed in
   // claimed_ (the previous step's grants), so a step costs O(p), not O(m).

@@ -16,6 +16,11 @@ EventBuffer::EventBuffer(std::size_t capacity)
 }
 
 void EventBuffer::new_chunk() {
+  if (tail_ != nullptr) {
+    tail_->count = kChunkEvents;
+    size_ += kChunkEvents;
+    recorded_ += static_cast<i64>(kChunkEvents);
+  }
   Chunk next;
   if (size_ + kChunkEvents > capacity_ && !chunks_.empty()) {
     // Evict the oldest chunk but keep its slab: the warm ring runs
@@ -34,6 +39,8 @@ void EventBuffer::new_chunk() {
   // deque never relocates surviving elements on push_back/pop_front, so
   // the cached tail pointer stays valid until the next new_chunk().
   tail_ = &chunks_.back();
+  cursor_ = tail_->data.get();
+  tail_end_ = cursor_ + kChunkEvents;
 }
 
 void EventBuffer::reject_unpackable() {
@@ -41,13 +48,13 @@ void EventBuffer::reject_unpackable() {
 }
 
 i64 EventBuffer::first_cycle() const {
-  if (chunks_.empty() || chunks_.front().count == 0) return 0;
+  if (size() == 0) return 0;
   return chunks_.front().data[0].cycle;
 }
 
 std::vector<Event> EventBuffer::events() const {
   std::vector<Event> out;
-  out.reserve(size_);
+  out.reserve(size());
   for_each([&out](const Event& e) { out.push_back(e); });
   return out;
 }
@@ -56,6 +63,8 @@ void EventBuffer::clear() {
   for (auto& chunk : chunks_) free_.push_back(std::move(chunk.data));
   chunks_.clear();
   tail_ = nullptr;
+  cursor_ = nullptr;
+  tail_end_ = nullptr;
   size_ = 0;
   recorded_ = 0;
 }

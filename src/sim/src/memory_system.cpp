@@ -38,9 +38,11 @@ MemorySystem::MemorySystem(const SystemState& state)
     throw Error{ErrorCode::config_invalid,
                 "MemorySystem: checkpoint bank vectors disagree with config"};
   }
+  live_.clear();
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     ports_[i].issued = state.issued[i];
     ports_[i].stats = state.stats[i];
+    if (!ports_[i].done()) live_.push_back(i);
   }
   bank_free_at_ = state.bank_free_at;
   bank_grants_ = state.bank_grants;
@@ -161,14 +163,12 @@ std::size_t MemorySystem::add_stream(const StreamConfig& stream) {
   PortState port;
   port.cfg = stream;
   ports_.push_back(std::move(port));
-  return ports_.size() - 1;
+  const std::size_t idx = ports_.size() - 1;
+  if (!ports_[idx].done()) live_.push_back(idx);
+  return idx;
 }
 
 const StreamConfig& MemorySystem::stream(std::size_t port) const { return ports_.at(port).cfg; }
-
-const PortStats& MemorySystem::port_stats(std::size_t port) const {
-  return ports_.at(port).stats;
-}
 
 std::vector<PortStats> MemorySystem::all_stats() const {
   std::vector<PortStats> out;
@@ -179,12 +179,10 @@ std::vector<PortStats> MemorySystem::all_stats() const {
 
 i64 MemorySystem::elements_done(std::size_t port) const { return ports_.at(port).issued; }
 
-bool MemorySystem::port_done(std::size_t port) const { return ports_.at(port).done(); }
-
 std::optional<i64> MemorySystem::next_bank(std::size_t port) const {
   const PortState& p = ports_.at(port);
   if (p.done()) return std::nullopt;
-  return p.cfg.bank_of(p.issued, config_.banks);
+  return effective_bank(p);
 }
 
 i64 MemorySystem::bank_busy(i64 bank) const {
@@ -221,9 +219,7 @@ i64 MemorySystem::hottest_bank() const {
   return static_cast<i64>(best);
 }
 
-bool MemorySystem::finished() const noexcept {
-  return std::all_of(ports_.begin(), ports_.end(), [](const PortState& p) { return p.done(); });
-}
+bool MemorySystem::finished() const noexcept { return live_.empty(); }
 
 std::size_t MemorySystem::add_event_hook(EventHook hook) {
   if (!hook) throw std::invalid_argument{"add_event_hook: hook must be callable"};
@@ -247,11 +243,25 @@ void MemorySystem::remove_event_hook(std::size_t handle) {
   if (handle == legacy_hook_) legacy_hook_ = static_cast<std::size_t>(-1);
 }
 
-std::size_t MemorySystem::event_hook_count() const noexcept { return live_hooks_; }
+std::size_t MemorySystem::event_hook_count() const noexcept {
+  return live_hooks_ + sinks_.size();
+}
 
 void MemorySystem::set_event_hook(EventHook hook) {
   remove_event_hook(legacy_hook_);
   if (hook) legacy_hook_ = add_event_hook(std::move(hook));
+}
+
+void MemorySystem::add_event_sink(EventSink& sink) {
+  if (std::find(sinks_.begin(), sinks_.end(), &sink) != sinks_.end()) {
+    throw std::invalid_argument{"add_event_sink: sink already attached"};
+  }
+  sinks_.push_back(&sink);
+}
+
+void MemorySystem::remove_event_sink(const EventSink& sink) {
+  const auto it = std::find(sinks_.begin(), sinks_.end(), &sink);
+  if (it != sinks_.end()) sinks_.erase(it);
 }
 
 void MemorySystem::emit(const Event& e) const {
@@ -273,24 +283,39 @@ void MemorySystem::step() {
   }
   claimed_.clear();
 
-  const std::size_t p = ports_.size();
-  const std::size_t first = (config_.priority == PriorityRule::cyclic) ? rr_ % p : 0;
+  // Priority order over all ports starts at `first` and wraps.  Finished
+  // ports never request again, so visiting just the live ones, from the
+  // first live index >= first and wrapping, keeps the order of the rest.
+  const std::size_t first =
+      (config_.priority == PriorityRule::cyclic) ? rr_ % ports_.size() : 0;
+  const std::size_t live = live_.size();
+  const auto begin =
+      first == 0 ? std::size_t{0}
+                 : static_cast<std::size_t>(
+                       std::lower_bound(live_.begin(), live_.end(), first) - live_.begin());
+  bool retired = false;
+  // Each event is built in place in step_events_, so the sinks get the
+  // step's events without a copy.
+  if (step_events_.size() < live) step_events_.resize(live);
+  std::size_t events = 0;
 
-  for (std::size_t i = 0; i < p; ++i) {
-    const std::size_t idx = (first + i) % p;
+  for (std::size_t i = 0; i < live; ++i) {
+    const std::size_t pos = begin + i < live ? begin + i : begin + i - live;
+    const std::size_t idx = live_[pos];
     PortState& port = ports_[idx];
-    if (port.done() || now_ < port.cfg.start_cycle) continue;
+    if (now_ < port.cfg.start_cycle) continue;
 
     const i64 bank = effective_bank(port);
     const auto bank_u = static_cast<std::size_t>(bank);
 
-    Event ev{.type = Event::Type::conflict,
-             .cycle = now_,
-             .port = idx,
-             .bank = bank,
-             .element = port.issued,
-             .conflict = ConflictKind::bank,
-             .blocker = idx};
+    Event& ev = step_events_[events++];
+    ev = Event{.type = Event::Type::conflict,
+               .cycle = now_,
+               .port = idx,
+               .bank = bank,
+               .element = port.issued,
+               .conflict = ConflictKind::bank,
+               .blocker = idx};
 
     // (0) Injected faults pin the request before any arbitration: the
     //     target bank is offline (stall policy, or remap with no survivor
@@ -362,8 +387,17 @@ void MemorySystem::step() {
     ev.blocker = idx;
     emit(ev);
     ++port.issued;
+    retired = retired || port.done();
   }
 
+  if (retired) {
+    live_.erase(std::remove_if(live_.begin(), live_.end(),
+                               [this](std::size_t idx) { return ports_[idx].done(); }),
+                live_.end());
+  }
+  if (events > 0) {
+    for (EventSink* sink : sinks_) sink->on_events({step_events_.data(), events});
+  }
   ++now_;
   if (config_.priority == PriorityRule::cyclic && !ports_.empty()) {
     rr_ = (rr_ + 1) % ports_.size();

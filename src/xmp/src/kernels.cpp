@@ -53,8 +53,20 @@ class KernelDriver {
 
   /// Schedule whatever became ready; call every clock period (and once
   /// before the first step to issue the initial loads).
+  ///
+  /// Strips are scanned in order, and the scan order is the issue order
+  /// (a port's index is its fixed priority).  Every hardware port, the
+  /// store port included, issues its instructions in strip order, so two
+  /// shortcuts skip only strips in which nothing can issue.  The scan
+  /// starts at lo_, the first strip with an unissued instruction.  It
+  /// stops after strip lo_ once every load port is busy: a later load
+  /// needs a free port, and a later store would have to pass strip lo_'s
+  /// store, which is either still unissued or has just made the store
+  /// port busy.
   void tick() {
-    for (std::size_t k = 0; k < strips_; ++k) {
+    while (lo_ < strips_ && strip_issued(lo_)) ++lo_;
+    for (std::size_t k = lo_; k < strips_; ++k) {
+      if (k > lo_ && load_ports_busy()) break;
       for (std::size_t q = 0; q < nloads_; ++q) {
         if (load_idx_[k][q] != kUnset) continue;
         HwPort& hw = load_port_[q % kLoadPorts];
@@ -110,6 +122,21 @@ class KernelDriver {
 
   [[nodiscard]] std::size_t first_load_array() const { return spec_.store ? 1 : 0; }
 
+  [[nodiscard]] bool strip_issued(std::size_t k) const {
+    const auto loads = load_idx_[k].begin();
+    return std::find(loads, loads + static_cast<std::ptrdiff_t>(nloads_), kUnset) ==
+               loads + static_cast<std::ptrdiff_t>(nloads_) &&
+           (!spec_.store || store_idx_[k] != kUnset);
+  }
+  /// Every load port the kernel uses holds an unfinished instruction.
+  [[nodiscard]] bool load_ports_busy() const {
+    for (std::size_t h = 0; h < std::min(nloads_, kLoadPorts); ++h) {
+      const std::size_t last = load_port_[h].last;
+      if (last == kUnset || mem_.port_done(last)) return false;
+    }
+    return true;
+  }
+
   [[nodiscard]] i64 strip_len(std::size_t k) const {
     return std::min<i64>(config_.vector_length,
                          count_ - static_cast<i64>(k) * config_.vector_length);
@@ -163,6 +190,7 @@ class KernelDriver {
   i64 count_;
   std::size_t nloads_;
   std::size_t strips_;
+  std::size_t lo_ = 0;  ///< first strip with an unissued load or store
   std::array<HwPort, kLoadPorts> load_port_;
   HwPort store_port_;
   std::vector<std::vector<std::size_t>> load_idx_;

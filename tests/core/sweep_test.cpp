@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
-#include <stdexcept>
-
 namespace vpmem::core {
 namespace {
 
@@ -13,59 +9,6 @@ TEST(DefaultWorkers, AtLeastOne) {
   EXPECT_GE(default_workers(), 1u);
   EXPECT_EQ(default_workers(1), 1u);
   EXPECT_LE(default_workers(4), 4u);
-}
-
-TEST(ParallelIndexMap, PreservesOrder) {
-  const auto out = parallel_index_map<std::size_t>(
-      100, [](std::size_t i) { return i * i; }, 4);
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(ParallelIndexMap, EmptyInput) {
-  const auto out = parallel_index_map<int>(0, [](std::size_t) { return 1; }, 4);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(ParallelIndexMap, SingleWorkerSequential) {
-  const auto out = parallel_index_map<int>(
-      10, [](std::size_t i) { return static_cast<int>(i); }, 1);
-  EXPECT_EQ(out[9], 9);
-}
-
-TEST(ParallelIndexMap, EveryIndexVisitedExactlyOnce) {
-  std::atomic<int> calls{0};
-  parallel_index_map<int>(
-      1000,
-      [&](std::size_t) {
-        calls.fetch_add(1, std::memory_order_relaxed);
-        return 0;
-      },
-      8);
-  EXPECT_EQ(calls.load(), 1000);
-}
-
-TEST(ParallelIndexMap, PropagatesExceptions) {
-  EXPECT_THROW(static_cast<void>(parallel_index_map<int>(
-                   50,
-                   [](std::size_t i) -> int {
-                     if (i == 25) throw std::runtime_error{"boom"};
-                     return 0;
-                   },
-                   4)),
-               std::runtime_error);
-}
-
-TEST(ParallelIndexMap, RejectsNullFunction) {
-  std::function<int(std::size_t)> empty;
-  EXPECT_THROW(static_cast<void>(parallel_index_map<int>(3, empty, 2)), std::invalid_argument);
-}
-
-TEST(ParallelMap, MapsVector) {
-  const std::vector<int> in{1, 2, 3, 4};
-  const auto out = parallel_map<int, int>(
-      in, [](const int& v) { return v * 10; }, 2);
-  EXPECT_EQ(out, (std::vector<int>{10, 20, 30, 40}));
 }
 
 }  // namespace

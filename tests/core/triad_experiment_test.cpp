@@ -37,6 +37,31 @@ TEST(TriadExperiment, ParallelAndSequentialAgree) {
   }
 }
 
+TEST(TriadExperiment, RowsStayInIncOrderOnManyWorkers) {
+  TriadExperiment exp = small_experiment();
+  exp.setup.n = 64;
+  exp.inc_max = 16;
+  obs::SweepTelemetry telemetry;
+  const auto rows = run_triad_experiment(exp, 4, &telemetry);
+  ASSERT_EQ(rows.size(), 16u);
+  i64 cycles = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].inc, static_cast<i64>(i) + 1);
+    cycles += rows[i].cycles_contended + rows[i].cycles_dedicated;
+  }
+  EXPECT_EQ(telemetry.points(), 16);
+  EXPECT_EQ(telemetry.simulated_cycles(), cycles);
+}
+
+TEST(TriadExperiment, WorkerErrorsReachTheCaller) {
+  // run_triad rejects n = 0 on every worker; the error must surface on
+  // the calling thread instead of terminating the process.
+  TriadExperiment exp = small_experiment();
+  exp.setup.n = 0;
+  EXPECT_THROW(static_cast<void>(run_triad_experiment(exp, 4)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(run_triad_experiment(exp, 1)), std::invalid_argument);
+}
+
 TEST(TriadExperiment, RejectsBadRange) {
   TriadExperiment exp = small_experiment();
   exp.inc_min = 0;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
+#include <vector>
+
 #include "vpmem/analytic/theorems.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/util/rational.hpp"
@@ -211,6 +215,37 @@ TEST(ConflictAttribution, JsonSummaryReconcilesWithCounters) {
   }
   // Round-trips through the strict parser.
   EXPECT_EQ(Json::parse(doc.dump()), doc);
+}
+
+TEST(ConflictAttribution, ObserveCycleMatchesPerEventObserve) {
+  // Folding each clock period's events at once (the tracer's sink path)
+  // must give the same summary as folding them one by one.
+  const sim::MemoryConfig config{.banks = 16, .sections = 4, .bank_cycle = 4};
+  std::vector<sim::StreamConfig> streams;
+  for (i64 p = 0; p < 5; ++p) {
+    streams.push_back(sim::StreamConfig{.start_bank = p * 3 % 16, .distance = 1 + p % 3,
+                                        .cpu = p % 2, .length = 40 + 30 * p});
+  }
+  sim::MemorySystem mem{config, streams};
+  std::vector<sim::Event> events;
+  mem.add_event_hook([&](const sim::Event& e) { events.push_back(e); });
+  mem.run(300, /*stop_when_finished=*/false);
+  ConflictAttribution single{config, AttributionOptions{.window = 16}};
+  ConflictAttribution batched{config, AttributionOptions{.window = 16}};
+  for (const sim::Event& e : events) single.observe(e);
+  for (std::size_t i = 0; i < events.size();) {
+    std::size_t j = i;
+    while (j < events.size() && events[j].cycle == events[i].cycle) ++j;
+    batched.observe_cycle(std::span<const sim::Event>{events}.subspan(i, j - i));
+    i = j;
+  }
+  batched.observe_cycle({});
+  single.finalize(mem.now());
+  batched.finalize(mem.now());
+  EXPECT_GT(single.episodes().size(), 1u);
+  EXPECT_EQ(batched.to_json(), single.to_json());
+  EXPECT_THROW(batched.observe_cycle(std::span<const sim::Event>{events}.first(1)),
+               std::logic_error);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "vpmem/sim/memory_system.hpp"
 
@@ -127,6 +129,43 @@ TEST(EventRecorder, SharesOneBufferBetweenObservers) {
   }
   mem.run(10, /*stop_when_finished=*/false);
   EXPECT_GT(rec.buffer().recorded(), 0);
+}
+
+TEST(EventBuffer, BatchPushMatchesSinglePushes) {
+  // Batches straddle chunk boundaries and eviction of a two-chunk ring.
+  const auto n = static_cast<i64>(EventBuffer::kChunkEvents);
+  EventBuffer single{2 * EventBuffer::kChunkEvents};
+  EventBuffer batched{2 * EventBuffer::kChunkEvents};
+  std::vector<Event> batch;
+  for (i64 c = 0; c < 3 * n + 11; ++c) {
+    const Event e = make_event(c / 5, c % 3 == 0 ? Event::Type::grant : Event::Type::conflict,
+                               static_cast<std::size_t>(c % 9), c % 13, ConflictKind::section,
+                               static_cast<std::size_t>(c % 4));
+    single.push(e);
+    batch.push_back(e);
+    if (batch.size() == 7) {
+      batched.push(batch);
+      batch.clear();
+    }
+  }
+  EventBuffer one_event{1};
+  EXPECT_TRUE(one_event.empty());
+  one_event.push(std::span<const Event>{batch}.first(1));
+  EXPECT_FALSE(one_event.empty());
+  EXPECT_EQ(one_event.size(), 1u);
+  batched.push(batch);
+  EXPECT_EQ(batched.recorded(), single.recorded());
+  EXPECT_EQ(batched.size(), single.size());
+  EXPECT_EQ(batched.dropped(), single.dropped());
+  EXPECT_EQ(batched.first_cycle(), single.first_cycle());
+  const std::vector<Event> a = batched.events();
+  const std::vector<Event> b = single.events();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].cycle, b[i].cycle);
+    EXPECT_EQ(a[i].element, b[i].element);
+    EXPECT_EQ(a[i].port, b[i].port);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "vpmem/sim/memory_system.hpp"
@@ -146,6 +147,45 @@ TEST(FaultModel, RemapSpareRoutesAroundDeadBank) {
   // Survivors ascending = {0, 1, 3}; slot k = (0 + k) mod 3.
   EXPECT_EQ(banks, (std::vector<i64>{0, 1, 3, 0, 1, 3, 0, 1, 3}));
   EXPECT_EQ(mem.all_stats().at(0).fault_conflicts, 0);
+}
+
+TEST(FaultModel, NextBankIsTheRemappedBankStepRequests) {
+  // With banks 2 and 5 offline under remap_spare, next_bank(p) must name
+  // the surviving bank that p's next request (grant or conflict) targets,
+  // not the raw interleave bank.
+  FaultPlan plan;
+  plan.policy = FaultPolicy::remap_spare;
+  plan.events = {boff(0, 2), boff(0, 5)};
+  MemorySystem mem{MemoryConfig{.banks = 8, .sections = 4, .bank_cycle = 2},
+                   {StreamConfig{.start_bank = 0, .distance = 1, .length = 40},
+                    StreamConfig{.start_bank = 3, .distance = 3, .cpu = 1, .length = 40},
+                    StreamConfig{.length = 30, .bank_pattern = {1, 2, 5, 7}}},
+                   plan};
+  mem.step();  // applies the cycle-0 outages
+  i64 granted_before = 0;
+  for (const PortStats& p : mem.all_stats()) granted_before += p.grants;
+  std::vector<std::optional<i64>> predicted;
+  i64 grants_checked = 0;
+  static_cast<void>(mem.add_event_hook([&](const Event& e) {
+    ASSERT_TRUE(predicted.at(e.port).has_value());
+    EXPECT_EQ(e.bank, *predicted[e.port]) << "port " << e.port << " cycle " << e.cycle;
+    if (e.type == Event::Type::grant) ++grants_checked;
+  }));
+  i64 remapped = 0;
+  while (!mem.finished()) {
+    predicted.clear();
+    for (std::size_t p = 0; p < mem.port_count(); ++p) {
+      predicted.push_back(mem.next_bank(p));
+      if (!predicted.back()) continue;
+      EXPECT_TRUE(mem.bank_online(*predicted.back()));
+      const StreamConfig& s = mem.stream(p);
+      if (*predicted.back() != s.bank_of(mem.elements_done(p), 8)) ++remapped;
+    }
+    mem.step();
+  }
+  EXPECT_EQ(grants_checked + granted_before, 40 + 40 + 30);
+  EXPECT_GT(remapped, 20);
+  for (std::size_t p = 0; p < mem.port_count(); ++p) EXPECT_FALSE(mem.next_bank(p));
 }
 
 TEST(FaultModel, SlowBankStretchesItsServiceTime) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "vpmem/check/reference_model.hpp"
 
 namespace vpmem::sim {
 namespace {
@@ -275,6 +281,196 @@ TEST(MemorySystem, ZeroLengthStreamIsImmediatelyDone) {
   MemorySystem mem{flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 1, .length = 0}}};
   EXPECT_TRUE(mem.finished());
   EXPECT_EQ(mem.run(10), 0);
+}
+
+// ---- live-port list ---------------------------------------------------------
+// step() visits only the ports that are not done.  These cases pin that
+// the visit order, the cyclic rotation and every event stay exactly what
+// a scan over all ports produces (check::ReferenceModel, which keeps no
+// live list, or an uninterrupted run of the same system).
+
+std::vector<Event> record(MemorySystem& mem, i64 cycles) {
+  std::vector<Event> events;
+  const std::size_t hook = mem.add_event_hook([&events](const Event& e) { events.push_back(e); });
+  mem.run(cycles, /*stop_when_finished=*/false);
+  mem.remove_event_hook(hook);
+  return events;
+}
+
+void expect_same_events(const std::vector<Event>& got, const std::vector<Event>& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Event& a = got[i];
+    const Event& b = want[i];
+    ASSERT_TRUE(a.type == b.type && a.cycle == b.cycle && a.port == b.port && a.bank == b.bank &&
+                a.element == b.element && a.conflict == b.conflict && a.blocker == b.blocker)
+        << label << ": event " << i << " differs (cycle " << a.cycle << " port " << a.port
+        << " vs cycle " << b.cycle << " port " << b.port << ")";
+  }
+}
+
+/// Small deterministic generator for the seeded configurations below.
+class Lcg {
+ public:
+  explicit Lcg(std::uint64_t seed) : state_{seed * 0x9E3779B97F4A7C15ULL + 1} {}
+  i64 below(i64 n) {
+    state_ = state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<i64>((state_ >> 33) % static_cast<std::uint64_t>(n));
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+TEST(MemorySystemLiveList, FinitePortsFinishingMidRunMatchTheReference) {
+  // Ports of different lengths (including 0) and start cycles leave the
+  // live list at different times; under cyclic priority the rotation
+  // keeps running over all port indices.
+  i64 finished_mid_run = 0;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    Lcg rng{seed};
+    const i64 m = 4 + rng.below(29);
+    const std::vector<i64> divisors = [m] {
+      std::vector<i64> out;
+      for (i64 s = 1; s <= m; ++s) {
+        if (m % s == 0) out.push_back(s);
+      }
+      return out;
+    }();
+    MemoryConfig config{.banks = m,
+                        .sections = divisors[static_cast<std::size_t>(
+                            rng.below(static_cast<i64>(divisors.size())))],
+                        .bank_cycle = 1 + rng.below(6),
+                        .mapping = rng.below(2) == 0 ? SectionMapping::cyclic
+                                                     : SectionMapping::consecutive,
+                        .priority = seed % 3 == 0 ? PriorityRule::fixed : PriorityRule::cyclic};
+    std::vector<StreamConfig> streams;
+    const i64 ports = 2 + rng.below(7);
+    for (i64 p = 0; p < ports; ++p) {
+      streams.push_back(StreamConfig{.start_bank = rng.below(m),
+                                     .distance = 1 + rng.below(m),
+                                     .cpu = rng.below(3),
+                                     .length = rng.below(5) == 0 ? kInfiniteLength : rng.below(40),
+                                     .start_cycle = rng.below(20)});
+    }
+    MemorySystem mem{config, streams};
+    check::ReferenceModel ref{config, streams};
+    const std::vector<Event> got = record(mem, 150);
+    ref.run(150);
+    expect_same_events(got, ref.events(), "seed " + std::to_string(seed));
+    if (HasFatalFailure()) return;
+    i64 done = 0;
+    for (std::size_t p = 0; p < mem.port_count(); ++p) done += mem.port_done(p) ? 1 : 0;
+    if (done > 0 && done < ports) ++finished_mid_run;
+    EXPECT_EQ(mem.finished(), done == ports) << "seed " << seed;
+  }
+  EXPECT_GT(finished_mid_run, 50);
+}
+
+TEST(MemorySystemLiveList, AddStreamAfterOtherPortsFinished) {
+  const MemoryConfig config{.banks = 12, .sections = 3, .bank_cycle = 3,
+                            .priority = PriorityRule::cyclic};
+  const std::vector<StreamConfig> streams{
+      StreamConfig{.start_bank = 0, .distance = 1, .length = 5},
+      StreamConfig{.start_bank = 4, .distance = 2, .cpu = 1, .length = 30},
+      StreamConfig{.start_bank = 7, .distance = 5, .length = 8, .start_cycle = 2}};
+  MemorySystem mem{config, streams};
+  check::ReferenceModel ref{config, streams};
+  std::vector<Event> got = record(mem, 25);
+  ref.run(25);
+  ASSERT_TRUE(mem.port_done(0));
+  ASSERT_TRUE(mem.port_done(2));
+  ASSERT_FALSE(mem.port_done(1));
+  // New ports land behind finished ones: one starting now, one later, one
+  // empty, and one after every earlier port has finished.
+  const std::vector<StreamConfig> late{
+      StreamConfig{.start_bank = 1, .distance = 1, .cpu = 1, .length = 12, .start_cycle = 25},
+      StreamConfig{.start_bank = 9, .distance = 3, .length = 6, .start_cycle = 31},
+      StreamConfig{.start_bank = 2, .distance = 1, .length = 0, .start_cycle = 26}};
+  for (const StreamConfig& s : late) EXPECT_EQ(mem.add_stream(s), ref.add_stream(s));
+  const std::vector<Event> middle = record(mem, 60);
+  got.insert(got.end(), middle.begin(), middle.end());
+  ref.run(60);
+  ASSERT_TRUE(mem.finished());
+  const StreamConfig last{.start_bank = 5, .distance = 7, .length = 9, .start_cycle = 90};
+  EXPECT_EQ(mem.add_stream(last), ref.add_stream(last));
+  EXPECT_FALSE(mem.finished());
+  const std::vector<Event> tail = record(mem, 30);
+  got.insert(got.end(), tail.begin(), tail.end());
+  ref.run(30);
+  EXPECT_TRUE(mem.finished());
+  expect_same_events(got, ref.events(), "add_stream");
+  EXPECT_EQ(mem.all_stats().size(), ref.stats().size());
+}
+
+TEST(MemorySystemLiveList, CheckpointRestoreWithFinishedPorts) {
+  const MemoryConfig config{.banks = 16, .sections = 4, .bank_cycle = 4,
+                            .priority = PriorityRule::cyclic};
+  const std::vector<StreamConfig> streams{
+      StreamConfig{.start_bank = 0, .distance = 1, .length = 6},
+      StreamConfig{.start_bank = 3, .distance = 3, .cpu = 1},
+      StreamConfig{.start_bank = 8, .distance = 2, .length = 10, .start_cycle = 3},
+      StreamConfig{.start_bank = 5, .distance = 1, .cpu = 1, .length = 40},
+      StreamConfig{.start_bank = 2, .distance = 4, .length = 0}};
+  MemorySystem uninterrupted{config, streams};
+  MemorySystem first_half{config, streams};
+  const std::vector<Event> want = record(uninterrupted, 120);
+  std::vector<Event> got = record(first_half, 37);
+  ASSERT_TRUE(first_half.port_done(0));
+  ASSERT_TRUE(first_half.port_done(4));
+  ASSERT_FALSE(first_half.port_done(3));
+  // Through JSON, as a resumed sweep would restore it.
+  MemorySystem restored{SystemState::from_json(first_half.checkpoint().to_json())};
+  const std::vector<Event> second = record(restored, 120 - 37);
+  got.insert(got.end(), second.begin(), second.end());
+  expect_same_events(got, want, "checkpoint");
+  EXPECT_TRUE(restored.same_state(uninterrupted));
+  check::ReferenceModel ref{config, streams};
+  ref.run(120);
+  expect_same_events(want, ref.events(), "reference");
+}
+
+// ---- typed event sinks ------------------------------------------------------
+
+/// Records each step's batch as a sink sees it.
+class BatchSink : public EventSink {
+ public:
+  void on_events(std::span<const Event> events) override {
+    batches.emplace_back(events.begin(), events.end());
+  }
+  std::vector<std::vector<Event>> batches;
+};
+
+TEST(MemorySystemSinks, ReceiveEachStepsEventsInOneBatch) {
+  const MemoryConfig config{.banks = 12, .sections = 3, .bank_cycle = 3,
+                            .priority = PriorityRule::cyclic};
+  const std::vector<StreamConfig> streams{
+      StreamConfig{.start_bank = 0, .distance = 1, .length = 20},
+      StreamConfig{.start_bank = 4, .distance = 2, .cpu = 1},
+      StreamConfig{.start_bank = 6, .distance = 3, .length = 7, .start_cycle = 5}};
+  MemorySystem mem{config, streams};
+  BatchSink sink;
+  mem.add_event_sink(sink);
+  EXPECT_EQ(mem.event_hook_count(), 1u);
+  EXPECT_THROW(mem.add_event_sink(sink), std::invalid_argument);
+  const std::vector<Event> hooked = record(mem, 40);  // the hook sees every event too
+  std::vector<Event> flat;
+  for (const std::vector<Event>& batch : sink.batches) {
+    ASSERT_FALSE(batch.empty());
+    for (const Event& e : batch) EXPECT_EQ(e.cycle, batch.front().cycle);
+    if (!flat.empty()) {
+      EXPECT_GT(batch.front().cycle, flat.back().cycle);
+    }
+    flat.insert(flat.end(), batch.begin(), batch.end());
+  }
+  expect_same_events(flat, hooked, "sink");
+  mem.remove_event_sink(sink);
+  EXPECT_EQ(mem.event_hook_count(), 0u);
+  const std::size_t batches = sink.batches.size();
+  mem.run(10, /*stop_when_finished=*/false);
+  EXPECT_EQ(sink.batches.size(), batches);
+  mem.remove_event_sink(sink);  // detaching twice is a no-op
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 # The sanitizer pass rebuilds into build-asan/ with -fsanitize=address,undefined
 # (VPMEM_SANITIZE=ON) and reruns the sim + obs + check test binaries, which
 # exercise the event-hook multiplexer, the Collector's raw-pointer hot path
-# and the reference model's event-log scans.
+# and the reference model's event-log scans, plus the X-MP and triad-
+# experiment tests, which drive the engine's live-port list and the kernel
+# driver's strip cursor.
 #
 # The TSan pass rebuilds into build-tsan/ with -fsanitize=thread
 # (VPMEM_SANITIZE_THREAD=ON) and runs `ctest -LE fork`: everything except
@@ -31,8 +33,9 @@ cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 echo "== bench telemetry: perf_sim_engine -> BENCH_perf_sim_engine.json =="
-# Run from the repo root so the vpmem.bench/1 document lands next to the
-# committed copy; the gate below fails on an empty benchmarks array (the
+# Run from the repo root; the vpmem.bench/1 document it writes there is a
+# local artifact (.gitignore excludes BENCH_*.json), not a committed
+# baseline.  The gate below fails on an empty benchmarks array (the
 # regression this guards against: a reporter change silently dropping rows).
 ./build/bench/perf_sim_engine >/dev/null
 python3 - <<'EOF'
@@ -65,9 +68,10 @@ cmake --build build-asan -j "$jobs" --target \
   obs_metrics_test obs_collector_test \
   obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
   check_reference_model_test check_differential_fuzz_test check_replay_test \
-  check_fault_plan_fuzz_test
+  check_fault_plan_fuzz_test \
+  xmp_machine_test xmp_kernels_test xmp_multitask_test core_triad_experiment_test
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -R \
-  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz)'
+  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|xmp_machine|xmp_kernels|xmp_multitask|core_triad_experiment)'
 
 echo "== sanitizer pass: TSan on everything but the fork-labelled suites =="
 cmake -B build-tsan -S . -DVPMEM_SANITIZE_THREAD=ON >/dev/null
