@@ -111,6 +111,48 @@ void bm_offset_sweep(benchmark::State& state) {
 }
 BENCHMARK(bm_offset_sweep);
 
+// The trace export path (`vpmem_cli trace --out`): a finite m = 64 run
+// of two 128-element streams, whose Chrome trace holds about 600 events.
+sim::MemorySystem traced_export_system() {
+  std::vector<sim::StreamConfig> streams = sim::two_streams(3, 5, 40, 9);
+  for (sim::StreamConfig& s : streams) s.length = 128;
+  return sim::MemorySystem{{.banks = 64, .sections = 16, .bank_cycle = 4}, streams};
+}
+
+void bm_json_dump(benchmark::State& state) {
+  sim::MemorySystem mem = traced_export_system();
+  obs::Tracer tracer{mem};
+  mem.run(1'000'000, /*stop_when_finished=*/true);
+  const Json doc = tracer.chrome_trace();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = doc.dump(1);
+    bytes += text.size();
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.counters["trace_events"] = static_cast<double>(doc.at("traceEvents").size());
+  state.counters["MB_per_s"] =
+      benchmark::Counter(static_cast<double>(bytes) / 1e6, benchmark::Counter::kIsRate);
+}
+BENCHMARK(bm_json_dump);
+
+void bm_chrome_trace(benchmark::State& state) {
+  sim::MemorySystem mem = traced_export_system();
+  obs::Tracer tracer{mem};
+  mem.run(1'000'000, /*stop_when_finished=*/true);
+  tracer.finish();
+  double events = 0;
+  for (auto _ : state) {
+    const Json doc = tracer.chrome_trace();
+    events += static_cast<double>(tracer.buffer().recorded());
+    benchmark::DoNotOptimize(doc);
+  }
+  // Host seconds per recorded simulator event.
+  state.counters["s_per_event"] = benchmark::Counter(
+      events, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(bm_chrome_trace);
+
 }  // namespace
 
 VPMEM_FIGURE_MAIN_JSON(print_figure, "BENCH_perf_sim_engine.json")

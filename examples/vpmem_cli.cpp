@@ -84,13 +84,14 @@
 // were quarantined).  With --json, errors still write a vpmem.cli/1
 // envelope whose "error" member carries {code, message}.
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -130,6 +131,22 @@ int usage() {
                "                  ('-' = stdout); schema: vpmem.run_report/1 for\n"
                "                  report, vpmem.cli/1 envelopes otherwise\n";
   return 2;
+}
+
+/// Strict integer argument: all of `text` must be one number in T's range
+/// (decimal; with `hex`, a 0x/0X prefix selects base 16).  Empty input,
+/// a sign on an unsigned T, trailing text and overflow are all rejected,
+/// so `--jobs abc` is a usage error rather than a silent 0.
+template <class T>
+bool parse_number(std::string_view text, T& out, bool hex = false) {
+  int base = 10;
+  if (hex && text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+    text.remove_prefix(2);
+    base = 16;
+  }
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, out, base);
+  return !text.empty() && ec == std::errc{} && ptr == last;
 }
 
 struct Args {
@@ -183,14 +200,11 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (a == "--consecutive") {
       args.consecutive = true;
     } else if (a == "--sections") {
-      if (++i >= argc) return false;
-      args.sections = std::atoll(argv[i]);
+      if (++i >= argc || !parse_number(argv[i], args.sections)) return false;
     } else if (a == "--length") {
-      if (++i >= argc) return false;
-      args.length = std::atoll(argv[i]);
+      if (++i >= argc || !parse_number(argv[i], args.length)) return false;
     } else if (a == "--cycles") {
-      if (++i >= argc) return false;
-      args.cycles = std::atoll(argv[i]);
+      if (++i >= argc || !parse_number(argv[i], args.cycles)) return false;
     } else if (a == "--json") {
       if (++i >= argc) return false;
       args.json_path = argv[i];
@@ -198,15 +212,13 @@ bool parse(int argc, char** argv, Args& args) {
       if (++i >= argc) return false;
       args.out = argv[i];
     } else if (a == "--window") {
-      if (++i >= argc) return false;
-      args.window = std::atoll(argv[i]);
+      if (++i >= argc || !parse_number(argv[i], args.window)) return false;
     } else if (a == "--attribution") {
       args.no_attribution = false;  // the default; accepted for symmetry
     } else if (a == "--no-attribution") {
       args.no_attribution = true;
     } else if (a == "--seed") {
-      if (++i >= argc) return false;
-      args.seed = std::strtoull(argv[i], nullptr, 0);
+      if (++i >= argc || !parse_number(argv[i], args.seed, /*hex=*/true)) return false;
       args.seed_given = true;
     } else if (a == "--fault") {
       if (++i >= argc) return false;
@@ -228,11 +240,9 @@ bool parse(int argc, char** argv, Args& args) {
       if (++i >= argc) return false;
       args.policy = argv[i];
     } else if (a == "--max-cycles") {
-      if (++i >= argc) return false;
-      args.max_cycles = std::atoll(argv[i]);
+      if (++i >= argc || !parse_number(argv[i], args.max_cycles)) return false;
     } else if (a == "--jobs") {
-      if (++i >= argc) return false;
-      args.jobs = static_cast<int>(std::atoll(argv[i]));
+      if (++i >= argc || !parse_number(argv[i], args.jobs)) return false;
     } else if (a == "--journal") {
       if (++i >= argc) return false;
       args.journal = argv[i];
@@ -241,8 +251,7 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (a == "--sandbox") {
       args.sandbox = true;
     } else if (a == "--retries") {
-      if (++i >= argc) return false;
-      args.retries = std::atoll(argv[i]);
+      if (++i >= argc || !parse_number(argv[i], args.retries)) return false;
     } else if (a == "--test-crash") {
       if (++i >= argc) return false;
       args.test_crash = argv[i];
@@ -253,10 +262,11 @@ bool parse(int argc, char** argv, Args& args) {
       if (++i >= argc) return false;
       args.d2_range = argv[i];
     } else if (a == "--throttle-ms") {
-      if (++i >= argc) return false;
-      args.throttle_ms = std::atoll(argv[i]);
+      if (++i >= argc || !parse_number(argv[i], args.throttle_ms)) return false;
     } else if (!a.empty() && (std::isdigit(static_cast<unsigned char>(a[0])) != 0)) {
-      args.positional.push_back(std::atoll(a.c_str()));
+      i64 value = 0;
+      if (!parse_number(a, value)) return false;
+      args.positional.push_back(value);
     } else if (!a.empty() && a[0] != '-' && args.word.empty()) {
       args.word = a;
     } else {
@@ -799,17 +809,15 @@ int cmd_faults(const Args& args) {
 
 /// Inclusive "A:B" stride range ("A" alone = the single value A).
 bool parse_range(const std::string& text, i64& lo, i64& hi) {
-  if (text.empty()) return false;
   const std::size_t colon = text.find(':');
-  char* end = nullptr;
-  lo = std::strtoll(text.c_str(), &end, 10);
   if (colon == std::string::npos) {
+    if (!parse_number(text, lo)) return false;
     hi = lo;
-    return end == text.c_str() + text.size();
+    return true;
   }
-  if (end != text.c_str() + colon) return false;
-  hi = std::strtoll(text.c_str() + colon + 1, &end, 10);
-  return end == text.c_str() + text.size() && lo <= hi;
+  const std::string_view view{text};
+  return parse_number(view.substr(0, colon), lo) && parse_number(view.substr(colon + 1), hi) &&
+         lo <= hi;
 }
 
 /// The canonical config-hash preimage of one sweep point.  This string —

@@ -1,5 +1,6 @@
 #include "vpmem/obs/tracer.hpp"
 
+#include <array>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -44,15 +45,16 @@ constexpr i64 kBankPid = 1;
 constexpr i64 kPortPid = 2;
 
 Json meta_event(i64 pid, i64 tid, const char* what, std::string name) {
-  Json e = Json::object();
-  e["ph"] = "M";
-  e["name"] = what;
-  e["pid"] = pid;
-  e["tid"] = tid;
-  Json args = Json::object();
-  args["name"] = std::move(name);
-  e["args"] = std::move(args);
-  return e;
+  Json::Object args;
+  args.emplace_back("name", std::move(name));
+  Json::Object e;
+  e.reserve(5);
+  e.emplace_back("ph", "M");
+  e.emplace_back("name", what);
+  e.emplace_back("pid", pid);
+  e.emplace_back("tid", tid);
+  e.emplace_back("args", std::move(args));
+  return Json{std::move(e)};
 }
 
 std::string port_label(const sim::MemorySystem& mem, std::size_t p) {
@@ -70,90 +72,120 @@ std::string port_label(const sim::MemorySystem& mem, std::size_t p) {
 
 }  // namespace
 
+// Every event's member list is built in final order with its exact size
+// reserved, and every repeated name is built once per call: the export
+// runs once per recorded event, so it does no key lookups and no
+// per-event formatting.
 Json Tracer::chrome_trace() {
   finish();
   const sim::MemoryConfig& cfg = mem_.config();
-  Json events = Json::array();
+  const std::size_t ports = mem_.port_count();
+
+  std::size_t grants = 0;
+  buffer_->for_each([&](const sim::Event& e) { grants += e.type == sim::Event::Type::grant; });
+  const std::size_t samples = attribution_ ? attribution_->bandwidth_series().size() : 0;
+  Json::Array events;
+  events.reserve(2 + static_cast<std::size_t>(cfg.banks) + ports + buffer_->size() + grants +
+                 samples);
 
   // Track naming: one row per bank (labelled with its section, as in the
   // paper's Figs. 7-9) and one per port.
   events.push_back(meta_event(kBankPid, 0, "process_name", "banks"));
   for (i64 bank = 0; bank < cfg.banks; ++bank) {
-    std::ostringstream os;
-    os << "bank " << bank;
-    if (cfg.sections != cfg.banks) os << " (section " << cfg.section_of(bank) << ")";
-    events.push_back(meta_event(kBankPid, bank, "thread_name", os.str()));
+    std::string name = "bank " + std::to_string(bank);
+    if (cfg.sections != cfg.banks) {
+      name += " (section " + std::to_string(cfg.section_of(bank)) + ")";
+    }
+    events.push_back(meta_event(kBankPid, bank, "thread_name", std::move(name)));
   }
   events.push_back(meta_event(kPortPid, 0, "process_name", "ports"));
-  for (std::size_t p = 0; p < mem_.port_count(); ++p) {
+  for (std::size_t p = 0; p < ports; ++p) {
     events.push_back(
         meta_event(kPortPid, static_cast<i64>(p), "thread_name", port_label(mem_, p)));
+  }
+
+  std::vector<std::string> port_names;
+  port_names.reserve(ports);
+  for (std::size_t p = 0; p < ports; ++p) port_names.push_back("port " + std::to_string(p + 1));
+  std::array<std::string, sim::kConflictKinds> kinds;
+  std::array<std::string, sim::kConflictKinds> conflict_names;
+  for (std::size_t k = 0; k < sim::kConflictKinds; ++k) {
+    kinds[k] = sim::to_string(static_cast<sim::ConflictKind>(k));
+    conflict_names[k] = kinds[k] + " conflict";
   }
 
   buffer_->for_each([&](const sim::Event& e) {
     if (e.type == sim::Event::Type::grant) {
       // Service slice on the bank track (the bank stays active nc
       // periods) ...
-      Json service = Json::object();
-      service["ph"] = "X";
-      service["name"] = "port " + std::to_string(e.port + 1);
-      service["cat"] = "service";
-      service["pid"] = kBankPid;
-      service["tid"] = e.bank;
-      service["ts"] = e.cycle;
-      service["dur"] = cfg.bank_cycle;
-      Json args = Json::object();
-      args["port"] = e.port;
-      args["element"] = e.element;
-      service["args"] = std::move(args);
-      events.push_back(std::move(service));
+      Json::Object args;
+      args.reserve(2);
+      args.emplace_back("port", e.port);
+      args.emplace_back("element", e.element);
+      Json::Object service;
+      service.reserve(8);
+      service.emplace_back("ph", "X");
+      service.emplace_back("name", port_names[e.port]);
+      service.emplace_back("cat", "service");
+      service.emplace_back("pid", kBankPid);
+      service.emplace_back("tid", e.bank);
+      service.emplace_back("ts", e.cycle);
+      service.emplace_back("dur", cfg.bank_cycle);
+      service.emplace_back("args", std::move(args));
+      events.emplace_back(std::move(service));
       // ... and a one-period transfer slice on the port track.
-      Json xfer = Json::object();
-      xfer["ph"] = "X";
-      xfer["name"] = "grant";
-      xfer["cat"] = "grant";
-      xfer["pid"] = kPortPid;
-      xfer["tid"] = static_cast<i64>(e.port);
-      xfer["ts"] = e.cycle;
-      xfer["dur"] = 1;
-      Json xargs = Json::object();
-      xargs["bank"] = e.bank;
-      xargs["element"] = e.element;
-      xfer["args"] = std::move(xargs);
-      events.push_back(std::move(xfer));
+      Json::Object xargs;
+      xargs.reserve(2);
+      xargs.emplace_back("bank", e.bank);
+      xargs.emplace_back("element", e.element);
+      Json::Object xfer;
+      xfer.reserve(8);
+      xfer.emplace_back("ph", "X");
+      xfer.emplace_back("name", "grant");
+      xfer.emplace_back("cat", "grant");
+      xfer.emplace_back("pid", kPortPid);
+      xfer.emplace_back("tid", static_cast<i64>(e.port));
+      xfer.emplace_back("ts", e.cycle);
+      xfer.emplace_back("dur", 1);
+      xfer.emplace_back("args", std::move(xargs));
+      events.emplace_back(std::move(xfer));
       return;
     }
     // Conflict instant on the delayed port's track, carrying the full
     // attribution payload.
-    Json instant = Json::object();
-    instant["ph"] = "i";
-    instant["name"] = sim::to_string(e.conflict) + " conflict";
-    instant["cat"] = "conflict";
-    instant["pid"] = kPortPid;
-    instant["tid"] = static_cast<i64>(e.port);
-    instant["ts"] = e.cycle;
-    instant["s"] = "t";  // thread-scoped marker
-    Json args = Json::object();
-    args["kind"] = sim::to_string(e.conflict);
-    args["bank"] = e.bank;
-    args["element"] = e.element;
-    args["blocker"] = e.blocker;
-    instant["args"] = std::move(args);
-    events.push_back(std::move(instant));
+    const auto kind = static_cast<std::size_t>(e.conflict);
+    Json::Object args;
+    args.reserve(4);
+    args.emplace_back("kind", kinds[kind]);
+    args.emplace_back("bank", e.bank);
+    args.emplace_back("element", e.element);
+    args.emplace_back("blocker", e.blocker);
+    Json::Object instant;
+    instant.reserve(8);
+    instant.emplace_back("ph", "i");
+    instant.emplace_back("name", conflict_names[kind]);
+    instant.emplace_back("cat", "conflict");
+    instant.emplace_back("pid", kPortPid);
+    instant.emplace_back("tid", static_cast<i64>(e.port));
+    instant.emplace_back("ts", e.cycle);
+    instant.emplace_back("s", "t");  // thread-scoped marker
+    instant.emplace_back("args", std::move(args));
+    events.emplace_back(std::move(instant));
   });
 
   // The live perf trajectory: windowed b_eff as a counter track.
   if (attribution_) {
     for (const BandwidthSample& s : attribution_->bandwidth_series()) {
-      Json counter = Json::object();
-      counter["ph"] = "C";
-      counter["name"] = "b_eff";
-      counter["pid"] = kPortPid;
-      counter["ts"] = s.start;
-      Json args = Json::object();
-      args["grants_per_cycle"] = s.b_eff();
-      counter["args"] = std::move(args);
-      events.push_back(std::move(counter));
+      Json::Object args;
+      args.emplace_back("grants_per_cycle", s.b_eff());
+      Json::Object counter;
+      counter.reserve(5);
+      counter.emplace_back("ph", "C");
+      counter.emplace_back("name", "b_eff");
+      counter.emplace_back("pid", kPortPid);
+      counter.emplace_back("ts", s.start);
+      counter.emplace_back("args", std::move(args));
+      events.emplace_back(std::move(counter));
     }
   }
 
@@ -170,7 +202,7 @@ Json Tracer::chrome_trace() {
   config["mapping"] = to_string(cfg.mapping);
   config["priority"] = to_string(cfg.priority);
   other["config"] = std::move(config);
-  other["ports"] = mem_.port_count();
+  other["ports"] = ports;
   other["cycles"] = mem_.now();
   other["events_recorded"] = buffer_->recorded();
   other["events_retained"] = buffer_->size();

@@ -163,14 +163,6 @@ class MemorySystem {
   /// Detach `sink` (no-op if it is not attached).
   void remove_event_sink(const EventSink& sink);
 
-  /// \deprecated Legacy single-hook interface, kept only for pre-
-  /// multiplexer callers; use add_event_hook/remove_event_hook in new
-  /// code.  Replaces the hook installed by a prior set_event_hook call
-  /// (hooks added via add_event_hook are unaffected); pass nullptr to
-  /// remove.  check_event_hook_shim_test pins the coexistence contract
-  /// with obs::Collector.
-  void set_event_hook(EventHook hook);
-
   /// True when this system and `other` are in the same machine state: the
   /// state that determines all future behaviour of *infinite* streams.  It
   /// consists of each port's phase (next bank, or pattern position, and
@@ -232,7 +224,6 @@ class MemorySystem {
   /// functions so handles remain stable (hook churn is rare and tiny).
   std::vector<EventHook> hooks_;
   std::size_t live_hooks_ = 0;  ///< count of non-empty entries in hooks_
-  std::size_t legacy_hook_ = static_cast<std::size_t>(-1);  ///< set_event_hook slot
   std::vector<EventSink*> sinks_;
   std::vector<Event> step_events_;  ///< this step's events (scratch, >= live ports)
   // Per-step scratch (members to avoid per-cycle allocation).  Claims are

@@ -240,16 +240,10 @@ void MemorySystem::remove_event_hook(std::size_t handle) {
   if (handle >= hooks_.size() || !hooks_[handle]) return;
   hooks_[handle] = nullptr;
   --live_hooks_;
-  if (handle == legacy_hook_) legacy_hook_ = static_cast<std::size_t>(-1);
 }
 
 std::size_t MemorySystem::event_hook_count() const noexcept {
   return live_hooks_ + sinks_.size();
-}
-
-void MemorySystem::set_event_hook(EventHook hook) {
-  remove_event_hook(legacy_hook_);
-  if (hook) legacy_hook_ = add_event_hook(std::move(hook));
 }
 
 void MemorySystem::add_event_sink(EventSink& sink) {

@@ -78,7 +78,9 @@ class Json {
   [[nodiscard]] std::size_t size() const noexcept;
 
   /// Serialize.  indent < 0: compact single line; indent >= 0: pretty-
-  /// printed with that many spaces per level.
+  /// printed with that many spaces per level.  Both overloads run the
+  /// same writer, which appends into one buffer; the stream overload
+  /// hands it to `os` every 64 KiB, so it never holds the whole text.
   [[nodiscard]] std::string dump(int indent = -1) const;
   void dump(std::ostream& os, int indent = -1) const;
 
@@ -89,7 +91,7 @@ class Json {
   friend bool operator==(const Json& a, const Json& b) noexcept = default;
 
  private:
-  void write(std::ostream& os, int indent, int depth) const;
+  class Writer;  // the serializer behind both dump() overloads
 
   std::variant<std::nullptr_t, bool, i64, double, std::string, Array, Object> value_;
 };

@@ -3,9 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace vpmem {
@@ -14,44 +12,6 @@ namespace {
 
 [[noreturn]] void type_error(const char* expected) {
   throw std::runtime_error{std::string{"Json: value is not "} + expected};
-}
-
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c) & 0xffu);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void write_double(std::ostream& os, double d) {
-  if (!std::isfinite(d)) {  // JSON has no Inf/NaN literal
-    os << "null";
-    return;
-  }
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, d);
-  if (ec != std::errc{}) type_error("a representable double");
-  // Keep integral doubles visibly doubles so a round-trip preserves type.
-  std::string_view text{buf, static_cast<std::size_t>(ptr - buf)};
-  os << text;
-  if (text.find_first_of(".eE") == std::string_view::npos) os << ".0";
 }
 
 /// Strict recursive-descent parser over a string_view.
@@ -393,59 +353,145 @@ std::size_t Json::size() const noexcept {
   return 0;
 }
 
-void Json::write(std::ostream& os, int indent, int depth) const {
-  const auto newline = [&](int level) {
-    if (indent < 0) return;
-    os << '\n' << std::string(static_cast<std::size_t>(indent * level), ' ');
-  };
-  if (is_null()) {
-    os << "null";
-  } else if (const bool* b = std::get_if<bool>(&value_)) {
-    os << (*b ? "true" : "false");
-  } else if (const i64* n = std::get_if<i64>(&value_)) {
-    os << *n;
-  } else if (const double* d = std::get_if<double>(&value_)) {
-    write_double(os, *d);
-  } else if (const std::string* s = std::get_if<std::string>(&value_)) {
-    write_escaped(os, *s);
-  } else if (const Array* a = std::get_if<Array>(&value_)) {
-    if (a->empty()) {
-      os << "[]";
-      return;
-    }
-    os << '[';
-    for (std::size_t i = 0; i < a->size(); ++i) {
-      if (i > 0) os << ',';
-      newline(depth + 1);
-      (*a)[i].write(os, indent, depth + 1);
-    }
-    newline(depth);
-    os << ']';
-  } else if (const Object* o = std::get_if<Object>(&value_)) {
-    if (o->empty()) {
-      os << "{}";
-      return;
-    }
-    os << '{';
-    for (std::size_t i = 0; i < o->size(); ++i) {
-      if (i > 0) os << ',';
-      newline(depth + 1);
-      write_escaped(os, (*o)[i].first);
-      os << (indent < 0 ? ":" : ": ");
-      (*o)[i].second.write(os, indent, depth + 1);
-    }
-    newline(depth);
-    os << '}';
+/// The one JSON serializer.  Appends into a single buffer: integers and
+/// doubles through std::to_chars, each run of characters that need no
+/// escape with one append, indentation in place.  With a sink stream the
+/// buffer is handed over whenever it reaches kFlushBytes, so the text is
+/// never held whole.
+class Json::Writer {
+ public:
+  static constexpr std::size_t kFlushBytes = 64 * 1024;
+
+  Writer(int indent, std::ostream* sink) : indent_{indent}, sink_{sink} {}
+
+  void write(const Json& v) {
+    std::visit(*this, v.value_);
+    maybe_flush();
   }
-}
+
+  /// The text written so far (all of it when there is no sink).
+  std::string take() { return std::move(out_); }
+
+  void flush() {
+    sink_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
+    out_.clear();
+  }
+
+  void operator()(std::nullptr_t) { out_ += "null"; }
+  void operator()(bool b) { out_ += b ? "true" : "false"; }
+
+  void operator()(i64 n) {
+    char buf[24];  // 20 digits and a sign
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, n).ptr);
+  }
+
+  void operator()(double d) {
+    if (!std::isfinite(d)) {  // JSON has no Inf/NaN literal
+      out_ += "null";
+      return;
+    }
+    char buf[32];
+    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, d);
+    if (ec != std::errc{}) type_error("a representable double");
+    const std::string_view text{buf, static_cast<std::size_t>(ptr - buf)};
+    out_ += text;
+    // Keep integral doubles visibly doubles so a round-trip preserves type.
+    if (text.find_first_of(".eE") == std::string_view::npos) out_ += ".0";
+  }
+
+  void operator()(const std::string& s) { escaped(s); }
+
+  void operator()(const Array& a) {
+    if (a.empty()) {
+      out_ += "[]";
+      return;
+    }
+    out_ += '[';
+    ++depth_;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (i > 0) out_ += ',';
+      newline();
+      write(a[i]);
+    }
+    --depth_;
+    newline();
+    out_ += ']';
+  }
+
+  void operator()(const Object& o) {
+    if (o.empty()) {
+      out_ += "{}";
+      return;
+    }
+    out_ += '{';
+    ++depth_;
+    for (std::size_t i = 0; i < o.size(); ++i) {
+      if (i > 0) out_ += ',';
+      newline();
+      escaped(o[i].first);
+      out_ += indent_ < 0 ? std::string_view{":"} : std::string_view{": "};
+      write(o[i].second);
+    }
+    --depth_;
+    newline();
+    out_ += '}';
+  }
+
+ private:
+  void newline() {
+    if (indent_ < 0) return;
+    out_ += '\n';
+    out_.append(static_cast<std::size_t>(indent_ * depth_), ' ');
+  }
+
+  void maybe_flush() {
+    if (sink_ != nullptr && out_.size() >= kFlushBytes) flush();
+  }
+
+  void escaped(std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    out_ += '"';
+    std::size_t plain = 0;  // start of the pending run of unescaped bytes
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const auto c = static_cast<unsigned char>(s[i]);
+      if (c >= 0x20 && c != '"' && c != '\\') continue;
+      out_.append(s.data() + plain, i - plain);
+      plain = i + 1;
+      switch (c) {
+        case '"': out_ += "\\\""; break;
+        case '\\': out_ += "\\\\"; break;
+        case '\b': out_ += "\\b"; break;
+        case '\f': out_ += "\\f"; break;
+        case '\n': out_ += "\\n"; break;
+        case '\r': out_ += "\\r"; break;
+        case '\t': out_ += "\\t"; break;
+        default: {
+          const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4u], kHex[c & 0xfu]};
+          out_.append(u, sizeof u);
+        }
+      }
+    }
+    out_.append(s.data() + plain, s.size() - plain);
+    out_ += '"';
+  }
+
+  std::string out_;
+  int indent_;
+  int depth_ = 0;
+  std::ostream* sink_;
+};
 
 std::string Json::dump(int indent) const {
-  std::ostringstream out;
-  write(out, indent, 0);
-  return out.str();
+  Writer w{indent, nullptr};
+  w.write(*this);
+  return w.take();
 }
 
-void Json::dump(std::ostream& os, int indent) const { write(os, indent, 0); }
+void Json::dump(std::ostream& os, int indent) const {
+  Writer w{indent, &os};
+  w.write(*this);
+  w.flush();
+}
 
 Json Json::parse(std::string_view text) { return Parser{text}.run(); }
 

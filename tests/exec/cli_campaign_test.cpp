@@ -2,7 +2,8 @@
 // VPMEM_CLI_PATH): a journaled 500-point sweep is SIGKILLed mid-flight
 // and resumed to byte-identical results, a sandboxed campaign quarantines
 // a deliberately crashing point while every other point completes, and
-// SIGINT drains into a valid "interrupted" envelope with exit code 7.
+// SIGINT drains into a valid "interrupted" envelope with exit code 7, and
+// malformed numeric arguments are usage errors (exit code 2).
 // This file forks and execs, so it carries the "fork" ctest label and is
 // excluded from the ThreadSanitizer pass.
 #include <gtest/gtest.h>
@@ -193,6 +194,33 @@ TEST(CliCampaign, SigintDrainsIntoAValidInterruptedEnvelope) {
   EXPECT_EQ(doc.at("schema").as_string(), "vpmem.cli/1");
   EXPECT_EQ(doc.at("status").as_string(), "interrupted");
   EXPECT_EQ(doc.at("campaign").at("status").as_string(), "partial");
+}
+
+TEST(CliCampaign, MalformedNumbersAreUsageErrors) {
+  // Every numeric argument is parsed strictly: empty input, trailing
+  // text and overflow exit 2 instead of silently becoming 0 or a prefix.
+  const std::vector<std::vector<std::string>> bad = {
+      {"fuzz", "5", "--jobs", "abc"},
+      {"fuzz", "5", "--jobs", ""},
+      {"report", "13", "6", "1", "6", "--cycles", "12x"},
+      {"fuzz", "5", "--seed", "18446744073709551616"},  // 2^64
+      {"fuzz", "5", "--seed", "0x10000000000000000"},
+      {"fuzz", "5", "--seed", "0x"},
+      {"sweep", "16", "4", "--d1", "3:x", "--d2", "1:2"},
+      {"sweep", "16", "4", "--d1", "3:", "--d2", "1:2"},
+      {"pair", "12x", "3", "1", "7"},
+      {"pair", "99999999999999999999", "3", "1", "7"},
+  };
+  for (const auto& args : bad) {
+    std::string line;
+    for (const auto& a : args) line += " '" + a + "'";
+    EXPECT_EQ(run_cli(args), 2) << line;
+  }
+  // Well-formed values still run: decimal and 0x-prefixed hex seeds
+  // (CI passes hex), and a single-value stride range.
+  EXPECT_EQ(run_cli({"fuzz", "5", "--seed", "0x2a", "--jobs", "1"}), 0);
+  EXPECT_EQ(run_cli({"fuzz", "5", "--seed", "42"}), 0);
+  EXPECT_EQ(run_cli({"sweep", "16", "4", "--d1", "3", "--d2", "1:2"}), 0);
 }
 
 }  // namespace

@@ -172,12 +172,6 @@ TEST(MemorySystem, HookMultiplexerAddRemove) {
   for (i64 c = 0; c < 50; ++c) mem.step();
   EXPECT_EQ(a, a_frozen);
   EXPECT_GT(b, a_frozen);
-  // Legacy single-hook setter still works and replaces itself.
-  mem.set_event_hook([&](const sim::Event&) { ++a; });
-  mem.set_event_hook([&](const sim::Event&) { ++a; });
-  EXPECT_EQ(mem.event_hook_count(), 2u);
-  mem.set_event_hook(nullptr);
-  EXPECT_EQ(mem.event_hook_count(), 1u);
   mem.remove_event_hook(hb);
   EXPECT_EQ(mem.event_hook_count(), 0u);
 }

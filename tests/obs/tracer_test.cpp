@@ -1,5 +1,6 @@
 // Tracer: Chrome trace-event export (schema vpmem.trace/1), buffer/
-// Collector reconciliation, and the shared-buffer path into Timeline.
+// Collector reconciliation, the shared-buffer path into Timeline, and the
+// golden bytes of the trace and run-report exports.
 #include "vpmem/obs/tracer.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +11,11 @@
 #include <string>
 
 #include "vpmem/obs/collector.hpp"
+#include "vpmem/obs/report.hpp"
 #include "vpmem/sim/memory_system.hpp"
+#include "vpmem/sim/steady_state.hpp"
 #include "vpmem/trace/timeline.hpp"
+#include "vpmem/util/hash.hpp"
 
 namespace vpmem::obs {
 namespace {
@@ -210,6 +214,66 @@ TEST(Tracer, SharesBufferWithTimeline) {
   // and stream 2 waits on the active bank ("1<<<<<").
   EXPECT_EQ(grid[0].substr(0, 6), "1<<<<<");
   EXPECT_EQ(timeline.events().size(), static_cast<std::size_t>(tracer.buffer().size()));
+}
+
+// Golden bytes: FNV-1a of the exported documents.  The values were
+// recorded with the earlier ostream-based writer, so any change to member
+// order, number formatting, escaping or indentation fails here.
+
+/// The `vpmem_cli trace` window for infinite streams: the transient plus
+/// one steady-state period.
+std::string trace_digest(const sim::MemoryConfig& cfg,
+                         const std::vector<sim::StreamConfig>& streams) {
+  const sim::SteadyState ss = sim::find_steady_state(cfg, streams);
+  sim::MemorySystem mem{cfg, streams};
+  Tracer tracer{mem};
+  mem.run(ss.transient_cycles + ss.period, /*stop_when_finished=*/false);
+  return hex64(fnv1a64(tracer.chrome_trace().dump(1)));
+}
+
+TEST(TracerGolden, Fig2TraceBytes) {
+  EXPECT_EQ(trace_digest({.banks = 12, .sections = 12, .bank_cycle = 3},
+                         sim::two_streams(0, 1, 3, 7)),
+            "743473e06a7c3aaa");
+}
+
+TEST(TracerGolden, Fig3TraceBytes) {
+  EXPECT_EQ(trace_digest(kFig3, fig3_streams()), "f400b2ddd10435b4");
+}
+
+TEST(TracerGolden, Fig7TraceBytes) {
+  EXPECT_EQ(trace_digest({.banks = 12, .sections = 2, .bank_cycle = 2},
+                         sim::two_streams(0, 1, 2, 1, /*same_cpu=*/true)),
+            "81f9fd507d08e262");
+}
+
+TEST(TracerGolden, RingEvictingTraceBytes) {
+  // m = 64 with a one-chunk ring: 20k cycles evict most of the run, so
+  // the export starts mid-stream and reports the dropped count.
+  sim::MemorySystem mem{{.banks = 64, .sections = 64, .bank_cycle = 4},
+                        sim::two_streams(0, 1, 5, 3)};
+  Tracer tracer{mem, TracerOptions{.capacity = 1}};
+  mem.run(20'000, /*stop_when_finished=*/false);
+  tracer.finish();
+  ASSERT_GT(tracer.buffer().dropped(), 0);
+  EXPECT_EQ(hex64(fnv1a64(tracer.chrome_trace().dump(1))), "df5f2d963267e4eb");
+}
+
+/// report_run(...).to_json().dump(2) without the wall-clock "perf" block.
+std::string report_digest(const sim::MemoryConfig& cfg,
+                          const std::vector<sim::StreamConfig>& streams) {
+  Json::Object members = report_run(cfg, streams).to_json().as_object();
+  std::erase_if(members, [](const auto& member) { return member.first == "perf"; });
+  return hex64(fnv1a64(Json{std::move(members)}.dump(2)));
+}
+
+TEST(TracerGolden, ReportBytes) {
+  EXPECT_EQ(report_digest(kFig3, fig3_streams()), "3523096331d15c0c");
+  std::vector<sim::StreamConfig> finite = sim::two_streams(7, 3, 40, 5);
+  finite[0].length = 130;
+  finite[1].length = 117;
+  EXPECT_EQ(report_digest({.banks = 64, .sections = 16, .bank_cycle = 4}, finite),
+            "8a8601e60a3b6194");
 }
 
 }  // namespace

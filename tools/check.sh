@@ -13,7 +13,8 @@
 # exercise the event-hook multiplexer, the Collector's raw-pointer hot path
 # and the reference model's event-log scans, plus the X-MP and triad-
 # experiment tests, which drive the engine's live-port list and the kernel
-# driver's strip cursor.
+# driver's strip cursor, and the util JSON and journal tests, which cover
+# the single-buffer JSON writer and its stream flushes.
 #
 # The TSan pass rebuilds into build-tsan/ with -fsanitize=thread
 # (VPMEM_SANITIZE_THREAD=ON) and runs `ctest -LE fork`: everything except
@@ -69,9 +70,10 @@ cmake --build build-asan -j "$jobs" --target \
   obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
   check_reference_model_test check_differential_fuzz_test check_replay_test \
   check_fault_plan_fuzz_test \
-  xmp_machine_test xmp_kernels_test xmp_multitask_test core_triad_experiment_test
+  xmp_machine_test xmp_kernels_test xmp_multitask_test core_triad_experiment_test \
+  util_json_test util_journal_test
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -R \
-  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|xmp_machine|xmp_kernels|xmp_multitask|core_triad_experiment)'
+  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|xmp_machine|xmp_kernels|xmp_multitask|core_triad_experiment|util_json|util_journal)'
 
 echo "== sanitizer pass: TSan on everything but the fork-labelled suites =="
 cmake -B build-tsan -S . -DVPMEM_SANITIZE_THREAD=ON >/dev/null
