@@ -41,7 +41,7 @@ BENCHMARK(bm_step)
     ->Args({2, 4096});
 
 // The same workloads with the full tracing v2 stack attached (bounded
-// event buffer + attribution fold on one hook).  Comparing
+// event buffer + attribution fold in one typed sink).  Comparing
 // cycles_per_second against the matching bm_step row gives the tracer
 // overhead; steady_perf_test asserts the ratio stays under 2x.
 void bm_step_traced(benchmark::State& state) {

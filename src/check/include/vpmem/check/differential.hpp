@@ -2,7 +2,8 @@
 // ReferenceModel: both implementations run the same configuration for the
 // same number of clock periods, and every emitted event (grants *and*
 // per-period conflict classifications) plus the final per-port statistics
-// must match exactly.
+// must match exactly, and the simulator's per-bank grant counters must
+// match the grants in its own event log.
 #pragma once
 
 #include <string>

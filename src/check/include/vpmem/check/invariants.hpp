@@ -15,7 +15,6 @@
 //     produce mutual delays in the steady cycle.
 //   * Theorems 6/7 + eq. 29: a unique barrier means b_eff = 1 + d1/d2
 //     from every start offset.
-//   * obs::Collector event-derived statistics == MemorySystem counters.
 //   * Start-bank translation and global start-cycle shifts leave the
 //     steady-state bandwidth unchanged (bank/time relabelings).
 //   * Capacity bounds: b_eff <= p and b_eff * nc <= m, per-port shares
@@ -27,12 +26,10 @@
 #include <vector>
 
 #include "vpmem/sim/config.hpp"
-#include "vpmem/sim/event.hpp"
 
 namespace vpmem::check {
 
 struct InvariantOptions {
-  i64 cycles = 224;          ///< window for collector / finite-run checks
   i64 max_sweep_banks = 16;  ///< run full offset sweeps only when m <= this
   i64 max_cycles = 500'000;  ///< steady-state detection guard
 };
@@ -54,11 +51,5 @@ struct InvariantReport {
 [[nodiscard]] InvariantReport check_invariants(const sim::MemoryConfig& config,
                                                const std::vector<sim::StreamConfig>& streams,
                                                const InvariantOptions& options = {});
-
-/// Field-by-field PortStats comparison used by the collector check;
-/// exposed so the failure path is unit-testable.  Returns an empty string
-/// when equal, else a description of the first differing field.
-[[nodiscard]] std::string compare_port_stats(const sim::PortStats& simulator,
-                                             const sim::PortStats& independent);
 
 }  // namespace vpmem::check

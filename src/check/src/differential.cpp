@@ -60,9 +60,11 @@ DiffResult diff_run(const sim::MemoryConfig& config,
   DiffResult out;
 
   sim::MemorySystem mem{config, streams, plan};
-  std::vector<sim::Event> sim_events;
-  mem.add_event_hook([&sim_events](const sim::Event& e) { sim_events.push_back(e); });
+  sim::EventLog log;
+  mem.add_event_sink(log);
   mem.run(cycles, /*stop_when_finished=*/false);
+  mem.remove_event_sink(log);
+  const std::vector<sim::Event>& sim_events = log.events;
 
   ReferenceModel ref{config, streams, fault, plan};
   ref.run(cycles);
@@ -99,6 +101,23 @@ DiffResult diff_run(const sim::MemoryConfig& config,
       out.message = "port " + std::to_string(p) + " stats diverge: sim {" +
                     describe_stats(sim_stats[p]) + "} vs reference {" +
                     describe_stats(ref_stats[p]) + "}";
+      return out;
+    }
+  }
+
+  // The per-bank grant counters against the simulator's own event log
+  // (the reference model keeps no bank counters).
+  std::vector<i64> bank_grants(static_cast<std::size_t>(config.banks), 0);
+  for (const sim::Event& e : sim_events) {
+    if (e.type == sim::Event::Type::grant) ++bank_grants[static_cast<std::size_t>(e.bank)];
+  }
+  for (i64 bank = 0; bank < config.banks; ++bank) {
+    const i64 logged = bank_grants[static_cast<std::size_t>(bank)];
+    if (logged != mem.bank_grants(bank)) {
+      out.agreed = false;
+      out.message = "bank " + std::to_string(bank) + " grants: simulator counter " +
+                    std::to_string(mem.bank_grants(bank)) + " vs event log " +
+                    std::to_string(logged);
       return out;
     }
   }

@@ -7,7 +7,6 @@
 
 #include "vpmem/analytic/stream.hpp"
 #include "vpmem/analytic/theorems.hpp"
-#include "vpmem/obs/collector.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/sim/run.hpp"
 #include "vpmem/sim/steady_state.hpp"
@@ -72,43 +71,6 @@ bool InvariantReport::did_run(const std::string& name) const {
   return std::find(ran.begin(), ran.end(), name) != ran.end();
 }
 
-std::string compare_port_stats(const sim::PortStats& simulator,
-                               const sim::PortStats& independent) {
-  const auto diff = [](const char* field, i64 a, i64 b) {
-    std::ostringstream os;
-    os << field << ": simulator " << a << " vs independent " << b;
-    return os.str();
-  };
-  if (simulator.grants != independent.grants) {
-    return diff("grants", simulator.grants, independent.grants);
-  }
-  if (simulator.bank_conflicts != independent.bank_conflicts) {
-    return diff("bank_conflicts", simulator.bank_conflicts, independent.bank_conflicts);
-  }
-  if (simulator.simultaneous_conflicts != independent.simultaneous_conflicts) {
-    return diff("simultaneous_conflicts", simulator.simultaneous_conflicts,
-                independent.simultaneous_conflicts);
-  }
-  if (simulator.section_conflicts != independent.section_conflicts) {
-    return diff("section_conflicts", simulator.section_conflicts,
-                independent.section_conflicts);
-  }
-  if (simulator.fault_conflicts != independent.fault_conflicts) {
-    return diff("fault_conflicts", simulator.fault_conflicts, independent.fault_conflicts);
-  }
-  if (simulator.first_grant_cycle != independent.first_grant_cycle) {
-    return diff("first_grant_cycle", simulator.first_grant_cycle,
-                independent.first_grant_cycle);
-  }
-  if (simulator.last_grant_cycle != independent.last_grant_cycle) {
-    return diff("last_grant_cycle", simulator.last_grant_cycle, independent.last_grant_cycle);
-  }
-  if (simulator.longest_stall != independent.longest_stall) {
-    return diff("longest_stall", simulator.longest_stall, independent.longest_stall);
-  }
-  return {};
-}
-
 InvariantReport check_invariants(const sim::MemoryConfig& config,
                                  const std::vector<sim::StreamConfig>& streams,
                                  const InvariantOptions& options) {
@@ -150,33 +112,6 @@ InvariantReport check_invariants(const sim::MemoryConfig& config,
         fail << "stream " << i << " (d=" << s.distance << "): simulated "
              << rational_str(ss.bandwidth) << ", Section III-A predicts "
              << rational_str(predicted);
-      }
-    });
-  }
-
-  // --- Collector: event-derived stats == simulator counters --------------
-  if (!streams.empty()) {
-    runner.run("collector_totals", [&](std::ostringstream& fail) {
-      sim::MemorySystem mem{config, streams};
-      obs::Collector collector{mem};
-      mem.run(options.cycles, /*stop_when_finished=*/false);
-      collector.finish();
-      const auto from_sim = mem.all_stats();
-      const auto from_events = collector.port_stats();
-      for (std::size_t p = 0; p < from_sim.size(); ++p) {
-        const std::string d = compare_port_stats(from_sim[p], from_events[p]);
-        if (!d.empty()) {
-          fail << "port " << p << " " << d;
-          return;
-        }
-      }
-      for (i64 bank = 0; bank < m; ++bank) {
-        const i64 counted = collector.bank_grants()[static_cast<std::size_t>(bank)];
-        if (counted != mem.bank_grants(bank)) {
-          fail << "bank " << bank << " grants: simulator " << mem.bank_grants(bank)
-               << " vs collector " << counted;
-          return;
-        }
       }
     });
   }

@@ -41,7 +41,6 @@
 #include "vpmem/exec/pool.hpp"
 #include "vpmem/exec/sandbox.hpp"
 #include "vpmem/obs/attribution.hpp"
-#include "vpmem/obs/collector.hpp"
 #include "vpmem/obs/metrics.hpp"
 #include "vpmem/obs/report.hpp"
 #include "vpmem/obs/timer.hpp"

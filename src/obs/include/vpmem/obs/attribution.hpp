@@ -6,10 +6,12 @@
 // charged to the bank it stalled on, the conflict kind of that period,
 // and the stream that held the contended resource.
 //
-// The analyzer folds *online* — observe() is O(1) per event and the state
-// is O(ports x banks), independent of run length — so it can ride the
-// event-hook multiplexer next to a bounded trace buffer without ever
-// dropping attribution precision, even when the buffer evicts old events.
+// The analyzer folds *online* — O(1) per event, with state O(ports x
+// banks) independent of run length — so it can watch a run as a typed
+// sim::EventSink next to a bounded trace buffer without ever dropping
+// attribution precision, even when the buffer evicts old events.  It also
+// folds the stall-run-length histogram that run reports carry in their
+// `metrics` block.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "vpmem/obs/metrics.hpp"
 #include "vpmem/sim/config.hpp"
 #include "vpmem/sim/event.hpp"
 #include "vpmem/util/json.hpp"
@@ -70,10 +73,11 @@ struct AttributionOptions {
   std::size_t max_episodes = 4096;
 };
 
-/// Online event-stream analyzer.  Feed events in emission order (attach
-/// via MemorySystem::add_event_hook or replay a recorded buffer), then
-/// finalize(end_cycle) once the run's observation window closes.
-class ConflictAttribution {
+/// Online event-stream analyzer.  Attach it to a run as a sink
+/// (MemorySystem::add_event_sink) or replay a recorded buffer through
+/// observe(), in emission order; then finalize(end_cycle) once the run's
+/// observation window closes.
+class ConflictAttribution final : public sim::EventSink {
  public:
   explicit ConflictAttribution(const sim::MemoryConfig& config, AttributionOptions options = {});
 
@@ -91,10 +95,10 @@ class ConflictAttribution {
     add_grants(e.cycle, 1);
   }
 
-  /// Fold one clock period's events (all of one cycle, as an
-  /// sim::EventSink receives them).  Same result as observe() on each in
-  /// order, but the grants are counted once for the period.
-  void observe_cycle(std::span<const sim::Event> events) {
+  /// Fold one clock period's events (all of one cycle, as the engine
+  /// hands them to a sink).  Same result as observe() on each in order,
+  /// but the grants are counted once for the period.
+  void on_events(std::span<const sim::Event> events) override {
     if (finalized_) reject_after_finalize();
     if (events.empty()) return;
     const i64 cycle = events.front().cycle;
@@ -110,9 +114,10 @@ class ConflictAttribution {
     if (grants > 0) add_grants(cycle, grants);
   }
 
-  /// Close open episodes and the final (possibly partial) b_eff window.
-  /// `end_cycle` is the exclusive end of the observed window.  Idempotent
-  /// in the sense that observe() must not be called afterwards.
+  /// Close open episodes, stall runs and the final (possibly partial)
+  /// b_eff window.  `end_cycle` is the exclusive end of the observed
+  /// window.  Idempotent in the sense that no event may be folded
+  /// afterwards.
   void finalize(i64 end_cycle);
 
   [[nodiscard]] std::size_t port_count() const noexcept { return ports_.size(); }
@@ -120,7 +125,7 @@ class ConflictAttribution {
   /// Lost cycles of `port` at `bank` due to conflicts of kind `k`.
   [[nodiscard]] i64 lost_cycles(std::size_t port, i64 bank, sim::ConflictKind kind) const;
   /// Row sum over banks: must equal the stream's PortStats delay counter
-  /// of the same kind (the Collector-style cross-check invariant).
+  /// of the same kind (a cross-check invariant).
   [[nodiscard]] i64 lost_cycles(std::size_t port, sim::ConflictKind kind) const;
   /// All three row sums of one stream; equals the stream's PortStats
   /// {bank,simultaneous,section}_conflicts field-for-field.
@@ -140,6 +145,13 @@ class ConflictAttribution {
     return series_;
   }
 
+  /// Lengths of the stall runs (maximal runs of consecutive delayed
+  /// periods of one stream), in clock periods.  A run counts when the
+  /// stream's next delay comes after a gap, or at finalize() if it is
+  /// the stream's last, so after finalize() the histogram's sum is the
+  /// total of lost cycles.
+  [[nodiscard]] const Histogram& stall_lengths() const noexcept { return stall_lengths_; }
+
   [[nodiscard]] i64 window() const noexcept { return options_.window; }
   [[nodiscard]] i64 end_cycle() const noexcept { return end_cycle_; }
   [[nodiscard]] i64 total_grants() const noexcept { return total_grants_; }
@@ -157,6 +169,7 @@ class ConflictAttribution {
     /// per (bank, kind).
     std::vector<i64> by_bank_kind;
     std::vector<i64> by_blocker;  ///< grown to the highest blocker seen
+    i64 stall = 0;                ///< open stall run, in periods
     // Open-episode state.
     bool episode_open = false;
     BarrierEpisode open;
@@ -177,9 +190,21 @@ class ConflictAttribution {
     total_grants_ += grants;
   }
 
+  void end_stall(PortFold& fold) {
+    if (fold.stall == 0) return;
+    stall_lengths_.record(fold.stall);
+    fold.stall = 0;
+  }
+
   void observe_conflict(const sim::Event& e) {
     if (e.port >= ports_.size()) add_ports(e.port);
     PortFold& fold = ports_[e.port];
+    // A live stream emits one event every period, so a gap since its last
+    // delay (the open episode's last period) means it was granted in
+    // between: the stall run ended there.  Folding runs here keeps the
+    // grant path free of per-port work.
+    if (!fold.episode_open || e.cycle != fold.open.last + 1) end_stall(fold);
+    ++fold.stall;
     const auto bank = static_cast<std::size_t>(e.bank);
     const auto kind = static_cast<std::size_t>(e.conflict);
     // The (bank, kind) matrix is the only per-kind store on the hot path;
@@ -209,6 +234,7 @@ class ConflictAttribution {
   std::vector<PortFold> ports_;
   std::vector<BarrierEpisode> episodes_;
   std::vector<BandwidthSample> series_;  ///< built by finalize()
+  Histogram stall_lengths_;
   i64 episodes_truncated_ = 0;
   // b_eff(t) fold: grants per window, advanced as cycles pass.  The
   // cursor caches the window holding the last grant so the hot path

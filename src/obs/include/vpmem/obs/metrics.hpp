@@ -90,8 +90,8 @@ class Histogram {
 };
 
 /// Insertion-ordered collection of named metrics.  Names are free-form;
-/// the convention used by the Collector is dotted paths such as
-/// "conflicts.bank" or "port.0.grants".  Re-requesting a name returns the
+/// the convention is dotted paths such as "conflicts.bank" or
+/// "port.0.grants".  Re-requesting a name returns the
 /// existing metric; requesting an existing name as a different kind
 /// throws std::invalid_argument.
 class MetricsRegistry {

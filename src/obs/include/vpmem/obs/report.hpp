@@ -70,7 +70,9 @@ struct RunReport {
   i64 hottest_bank = 0;
 
   std::optional<SteadyStateReport> steady_state;  ///< infinite streams only
-  Json metrics;  ///< Collector registry snapshot (histograms etc.)
+  /// Run totals, the stall-run-length and per-bank grant histograms, bank
+  /// utilization, the hottest bank, and per-port / per-bank breakdowns.
+  Json metrics;
   /// ConflictAttribution summary over the observed window (schema
   /// vpmem.attribution/1); null when ReportOptions::attribution is off.
   /// Carried verbatim through a JSON round-trip, like `metrics`.
@@ -100,18 +102,20 @@ struct ReportOptions {
   i64 cycles = 0;
   /// Guard for finite runs / steady-state detection.
   i64 max_cycles = 1'000'000;
-  /// Fold a ConflictAttribution over the observed window and embed its
-  /// summary block (RunReport::attribution).
+  /// Embed the summary block (RunReport::attribution) of the
+  /// ConflictAttribution that every report folds over its observed window
+  /// (it also supplies the stall-run histogram of `metrics`).
   bool attribution = true;
   /// b_eff(t) window for the embedded attribution.
   i64 attribution_window = 64;
 };
 
-/// Run `streams` on `config` with a Collector attached and produce the
-/// full report.  For all-infinite streams this also performs exact
-/// steady-state detection (kind = "steady_state"); otherwise the workload
-/// runs to completion (kind = "finite_run").  Mixed finite/infinite
-/// workloads are rejected (std::invalid_argument).
+/// Run `streams` on `config` with a ConflictAttribution attached as its
+/// one event sink and produce the full report.  For all-infinite streams
+/// this also performs exact steady-state detection (kind =
+/// "steady_state"); otherwise the workload runs to completion (kind =
+/// "finite_run").  Mixed finite/infinite workloads are rejected
+/// (std::invalid_argument).
 [[nodiscard]] RunReport report_run(const sim::MemoryConfig& config,
                                    const std::vector<sim::StreamConfig>& streams,
                                    const ReportOptions& options = {});

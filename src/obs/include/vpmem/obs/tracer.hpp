@@ -1,8 +1,8 @@
 // Tracing v2: cycle-accurate run recording with bounded memory and a
 // Chrome trace-event / Perfetto JSON exporter (schema vpmem.trace/1).
 //
-// A Tracer attaches to a MemorySystem through the event-hook multiplexer
-// and does two things per event, both O(1): push a 32-byte packed record
+// A Tracer attaches to a MemorySystem as a typed sim::EventSink and does
+// two things per event, both O(1): push a 32-byte packed record
 // into a shared sim::EventBuffer (chunked ring — memory stays bounded on
 // arbitrarily long runs) and fold the event into a ConflictAttribution
 // (exact per-(stream, bank, kind) lost-cycle matrices that never lose
@@ -41,8 +41,9 @@ struct TracerOptions {
   i64 episode_gap = 0;
 };
 
-/// Lifecycle: construct before running (attaches the hook), step the
-/// system, call finish() (detaches, finalizes attribution), then export.
+/// Lifecycle: construct before running (attaches itself as a sink), step
+/// the system, call finish() (detaches, finalizes attribution), then
+/// export.
 /// The destructor calls finish() if it has not run yet.
 class Tracer : private sim::EventSink {
  public:
@@ -54,7 +55,8 @@ class Tracer : private sim::EventSink {
   Tracer(Tracer&&) = delete;
   Tracer& operator=(Tracer&&) = delete;
 
-  /// Detach the hook and finalize the attribution at the current clock.
+  /// Detach from the system and finalize the attribution at the current
+  /// clock.
   /// Idempotent; no further events are recorded afterwards.
   void finish();
 

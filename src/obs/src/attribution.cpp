@@ -81,7 +81,7 @@ void ConflictAttribution::close_episode(PortFold& fold) {
 }
 
 void ConflictAttribution::reject_after_finalize() {
-  throw std::logic_error{"ConflictAttribution: observe() after finalize()"};
+  throw std::logic_error{"ConflictAttribution: event folded after finalize()"};
 }
 
 void ConflictAttribution::enter_window(i64 cycle) {
@@ -95,7 +95,10 @@ void ConflictAttribution::finalize(i64 end_cycle) {
   if (finalized_) return;
   finalized_ = true;
   end_cycle_ = std::max(end_cycle, last_cycle_ + 1);
-  for (auto& fold : ports_) close_episode(fold);
+  for (auto& fold : ports_) {
+    close_episode(fold);
+    end_stall(fold);
+  }
 
   // Materialize the b_eff(t) series, covering [0, end_cycle) even where
   // no grants landed.

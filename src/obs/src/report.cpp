@@ -1,12 +1,10 @@
 #include "vpmem/obs/report.hpp"
 
 #include <fstream>
-#include <memory>
 #include <ostream>
 #include <stdexcept>
 
 #include "vpmem/obs/attribution.hpp"
-#include "vpmem/obs/collector.hpp"
 #include "vpmem/obs/timer.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/util/error.hpp"
@@ -109,6 +107,81 @@ Json json_of(const sim::StreamConfig& stream) {
   out["bank_pattern"] = std::move(pattern);
   return out;
 }
+
+namespace {
+
+/// The report's `metrics` block, read off the finished system, its
+/// per-bank grants and the stall-run histogram: run totals, the
+/// distribution of per-bank grant counts, bank utilization, the hottest
+/// bank, and per-port and per-bank breakdowns.
+Json metrics_json(const sim::MemorySystem& mem, const std::vector<i64>& bank_grants,
+                  const Histogram& stall_lengths) {
+  const std::vector<sim::PortStats> ports = mem.all_stats();
+  const sim::ConflictTotals conflicts = sim::totals(ports);
+  i64 grants = 0;
+  for (const auto& p : ports) grants += p.grants;
+  Histogram grant_counts;
+  Json by_bank = Json::array();
+  for (const i64 g : bank_grants) {
+    grant_counts.record(g);
+    by_bank.push_back(g);
+  }
+  Json out = Json::object();
+  out["grants"] = grants;
+  out["conflicts.bank"] = conflicts.bank;
+  out["conflicts.simultaneous"] = conflicts.simultaneous;
+  out["conflicts.section"] = conflicts.section;
+  out["conflicts.fault"] = conflicts.fault;
+  out["stall_length"] = stall_lengths.to_json();
+  out["bank_grants"] = grant_counts.to_json();
+  out["bank_utilization"] = mem.bank_utilization();
+  out["hottest_bank"] = static_cast<double>(mem.hottest_bank());
+  Json port_list = Json::array();
+  for (const auto& p : ports) port_list.push_back(json_of(p));
+  out["ports"] = std::move(port_list);
+  out["bank_grants_by_bank"] = std::move(by_bank);
+  return out;
+}
+
+/// Watches a report's run through exactly one sink, a ConflictAttribution
+/// (which also folds the stall-run histogram), and fills the report's
+/// bank-level view, `metrics` block and attribution block once the run
+/// is over.  Shared by report_run and report_run_guarded.
+class RunObserver {
+ public:
+  RunObserver(sim::MemorySystem& mem, const ReportOptions& options)
+      : mem_{mem},
+        embed_attribution_{options.attribution},
+        attribution_{mem.config(), AttributionOptions{.window = options.attribution_window}} {
+    mem_.add_event_sink(attribution_);
+  }
+  ~RunObserver() { mem_.remove_event_sink(attribution_); }
+
+  RunObserver(const RunObserver&) = delete;
+  RunObserver& operator=(const RunObserver&) = delete;
+
+  /// Detach, close the observed window at the system's clock and fill
+  /// `report`.
+  void finish(RunReport& report) {
+    mem_.remove_event_sink(attribution_);
+    attribution_.finalize(mem_.now());
+    if (embed_attribution_) report.attribution = attribution_.to_json();
+    report.bank_grants.clear();
+    for (i64 bank = 0; bank < mem_.config().banks; ++bank) {
+      report.bank_grants.push_back(mem_.bank_grants(bank));
+    }
+    report.bank_utilization = mem_.bank_utilization();
+    report.hottest_bank = mem_.hottest_bank();
+    report.metrics = metrics_json(mem_, report.bank_grants, attribution_.stall_lengths());
+  }
+
+ private:
+  sim::MemorySystem& mem_;
+  bool embed_attribution_;
+  ConflictAttribution attribution_;
+};
+
+}  // namespace
 
 Json RunReport::to_json() const {
   Json out = Json::object();
@@ -293,15 +366,7 @@ RunReport report_run(const sim::MemoryConfig& config,
   }
 
   sim::MemorySystem mem{config, streams};
-  Collector collector{mem};
-  std::unique_ptr<ConflictAttribution> attribution;
-  std::size_t attribution_hook = 0;
-  if (options.attribution) {
-    attribution = std::make_unique<ConflictAttribution>(
-        config, AttributionOptions{.window = options.attribution_window});
-    attribution_hook = mem.add_event_hook(
-        [a = attribution.get()](const sim::Event& e) { a->observe(e); });
-  }
+  RunObserver observer{mem, options};
   if (is_steady || window > 0) {
     report.cycles = mem.run(window, /*stop_when_finished=*/!is_steady);
   } else {
@@ -312,12 +377,7 @@ RunReport report_run(const sim::MemoryConfig& config,
     }
   }
   cycles_simulated += report.cycles;
-  collector.finish();
-  if (attribution) {
-    mem.remove_event_hook(attribution_hook);
-    attribution->finalize(report.cycles);
-    report.attribution = attribution->to_json();
-  }
+  observer.finish(report);
 
   report.ports = mem.all_stats();
   report.conflicts = sim::totals(report.ports);
@@ -327,10 +387,6 @@ RunReport report_run(const sim::MemoryConfig& config,
       report.cycles == 0
           ? 0.0
           : static_cast<double>(total_grants) / static_cast<double>(report.cycles);
-  report.bank_grants = collector.bank_grants();
-  report.bank_utilization = mem.bank_utilization();
-  report.hottest_bank = mem.hottest_bank();
-  report.metrics = collector.to_json();
   report.perf.cycles_simulated = cycles_simulated;
   report.perf.wall_seconds = wall.seconds();
   return report;
@@ -362,15 +418,7 @@ RunReport report_run_guarded(const sim::MemoryConfig& config,
 
   const Stopwatch wall;
   sim::MemorySystem mem{config, streams, plan};
-  Collector collector{mem};
-  std::unique_ptr<ConflictAttribution> attribution;
-  std::size_t attribution_hook = 0;
-  if (options.attribution) {
-    attribution = std::make_unique<ConflictAttribution>(
-        config, AttributionOptions{.window = options.attribution_window});
-    attribution_hook = mem.add_event_hook(
-        [a = attribution.get()](const sim::Event& e) { a->observe(e); });
-  }
+  RunObserver observer{mem, options};
 
   const i64 horizon = options.cycles > 0 ? options.cycles : -1;
   const sim::GuardedRun run = sim::run_guarded_on(mem, watchdog, horizon);
@@ -382,16 +430,7 @@ RunReport report_run_guarded(const sim::MemoryConfig& config,
   report.conflicts = run.result.conflicts;
   report.window_bandwidth = run.result.bandwidth();
 
-  collector.finish();
-  if (attribution) {
-    mem.remove_event_hook(attribution_hook);
-    attribution->finalize(mem.now());
-    report.attribution = attribution->to_json();
-  }
-  report.bank_grants = collector.bank_grants();
-  report.bank_utilization = mem.bank_utilization();
-  report.hottest_bank = mem.hottest_bank();
-  report.metrics = collector.to_json();
+  observer.finish(report);
   report.perf.cycles_simulated = mem.now();
   report.perf.wall_seconds = wall.seconds();
   return report;

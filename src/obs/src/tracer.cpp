@@ -25,7 +25,7 @@ Tracer::~Tracer() { finish(); }
 
 void Tracer::on_events(std::span<const sim::Event> events) {
   buffer_->push(events);
-  if (attribution_) attribution_->observe_cycle(events);
+  if (attribution_) attribution_->on_events(events);
 }
 
 void Tracer::finish() {

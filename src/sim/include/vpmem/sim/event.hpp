@@ -53,8 +53,8 @@ struct Event {
 /// Typed consumer of the simulator's event stream
 /// (MemorySystem::add_event_sink).  The engine hands a sink each clock
 /// period's events in one call, after the period's arbitration: one
-/// virtual call per cycle instead of one type-erased call per event, and
-/// a sink can fold what every event of the period shares (the cycle) once.
+/// virtual call per cycle rather than one call per event, and a sink can
+/// fold what every event of the period shares (the cycle) once.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -62,6 +62,16 @@ class EventSink {
   /// share one cycle; the span is never empty and is only valid during
   /// the call.  Must not mutate the system.
   virtual void on_events(std::span<const Event> events) = 0;
+};
+
+/// The plain collecting sink: keeps every event it is handed, in emission
+/// order.  check::diff_run and the tests record a run's stream with it.
+class EventLog final : public EventSink {
+ public:
+  void on_events(std::span<const Event> batch) override {
+    events.insert(events.end(), batch.begin(), batch.end());
+  }
+  std::vector<Event> events;
 };
 
 /// Aggregate counters for one port.  A "conflict" is counted once per

@@ -1,13 +1,13 @@
 // Bounded, chunked storage for the simulator's event stream.
 //
-// The event-hook multiplexer (memory_system.hpp) lets several observers
-// watch one run, but each observer that *stores* events used to keep its
-// own unbounded std::vector<Event>.  EventBuffer is the shared backing
-// store for tracing v2: events are packed to 32 bytes, appended to
-// fixed-size chunks, and the oldest chunk is recycled once the configured
-// capacity is reached — memory stays bounded no matter how long the run
-// is, and trace::Timeline plus obs::Tracer can read the same buffer
-// instead of recording the stream twice.
+// Several sinks may watch one run (MemorySystem::add_event_sink), but
+// each one that *stores* events used to keep its own unbounded
+// std::vector<Event>.  EventBuffer is the shared backing store for
+// tracing v2: events are packed to 32 bytes, appended to fixed-size
+// chunks, and the oldest chunk is recycled once the configured capacity
+// is reached — memory stays bounded no matter how long the run is, and
+// trace::Timeline plus obs::Tracer can read the same buffer instead of
+// recording the stream twice.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "vpmem/sim/event.hpp"
-#include "vpmem/sim/memory_system.hpp"
 
 namespace vpmem::sim {
 
@@ -174,38 +173,6 @@ class EventBuffer {
   /// Pre-faulted spare slabs; new_chunk() draws from here (or recycles an
   /// evicted chunk) so the steady state is allocation-free.
   std::vector<std::unique_ptr<PackedEvent[]>> free_;
-};
-
-/// RAII binding of an EventBuffer to a MemorySystem: attaches a hook that
-/// pushes every event into the (shared) buffer, detaches on destruction.
-/// Both trace::Timeline and obs::Tracer record through this, so a run
-/// traced by both stores its event stream exactly once.
-class EventRecorder {
- public:
-  /// Uses `buffer` if given, otherwise creates one with `capacity`.
-  explicit EventRecorder(MemorySystem& mem, std::shared_ptr<EventBuffer> buffer = nullptr,
-                         std::size_t capacity = EventBuffer::kDefaultCapacity);
-  ~EventRecorder();
-
-  EventRecorder(const EventRecorder&) = delete;
-  EventRecorder& operator=(const EventRecorder&) = delete;
-  EventRecorder(EventRecorder&&) = delete;
-  EventRecorder& operator=(EventRecorder&&) = delete;
-
-  /// Detach from the MemorySystem; the buffer stays readable.  Idempotent.
-  void detach();
-
-  [[nodiscard]] const EventBuffer& buffer() const noexcept { return *buffer_; }
-  [[nodiscard]] EventBuffer& buffer() noexcept { return *buffer_; }
-  /// Share the buffer with another reader (e.g. a Timeline over a traced
-  /// run).
-  [[nodiscard]] std::shared_ptr<EventBuffer> share() const noexcept { return buffer_; }
-
- private:
-  MemorySystem& mem_;
-  std::shared_ptr<EventBuffer> buffer_;
-  std::size_t hook_ = 0;
-  bool attached_ = false;
 };
 
 }  // namespace vpmem::sim

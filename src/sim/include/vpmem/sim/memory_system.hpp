@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -24,8 +23,11 @@ inline constexpr const char* kCheckpointSchema = "vpmem.checkpoint/1";
 /// port's stream + progress + statistics, bank occupancy and the priority
 /// rotation.  Restoring it into a fresh MemorySystem (the SystemState
 /// constructor) continues the run cycle-for-cycle identically — long
-/// sweeps checkpoint to JSON and resume after interruption.  Event hooks
-/// are not part of the state; reattach them after restoring.
+/// sweeps checkpoint to JSON and resume after interruption.  Event sinks
+/// are not part of the state; reattach them after restoring.  For the
+/// same reason a copied (or moved) MemorySystem, whether constructed or
+/// assigned, starts with no sinks: a sink observes the one system it was
+/// attached to, and is never called by a copy that outlives its detach.
 struct SystemState {
   MemoryConfig config;
   FaultPlan plan;
@@ -75,7 +77,7 @@ class MemorySystem {
   MemorySystem(MemoryConfig config, std::vector<StreamConfig> streams, FaultPlan plan = {});
 
   /// Restore a checkpoint()ed state; the run continues cycle-for-cycle
-  /// identically.  Hooks are not restored.
+  /// identically.  Sinks are not restored.
   explicit MemorySystem(const SystemState& state);
 
   /// Append a port mid-run.  `start_cycle` must be >= now().  Under fixed
@@ -139,29 +141,19 @@ class MemorySystem {
   /// The bank with the most grants so far (ties: lowest address).
   [[nodiscard]] i64 hottest_bank() const;
 
-  /// Observer invoked for every grant/conflict event.  Multiple hooks may
-  /// be attached at once (a hook multiplexer): vpmem::trace's Timeline and
-  /// vpmem::obs's Collector can watch the same run.  Hooks fire in
-  /// attachment order; they must not mutate the system.
-  using EventHook = std::function<void(const Event&)>;
-
-  /// Attach `hook`; returns a handle for remove_event_hook.
-  std::size_t add_event_hook(EventHook hook);
-
-  /// Detach the hook with the given handle (no-op if already removed).
-  void remove_event_hook(std::size_t handle);
-
-  /// Number of event consumers currently attached: hooks plus sinks.
-  [[nodiscard]] std::size_t event_hook_count() const noexcept;
-
-  /// Attach a typed sink: it receives each step's events in one call at
-  /// the end of that step (after the hooks saw them one by one).  The
-  /// sink is not owned and must outlive its attachment; sinks fire in
-  /// attachment order.  Attaching the same sink twice is an error.
+  /// Attach a typed sink, the one way to observe the engine: it receives
+  /// each step's events in one call at the end of that step.  Several
+  /// sinks may watch one run (a Tracer and a trace::Timeline, say); they
+  /// fire in attachment order and must not mutate the system.  The sink
+  /// is not owned and must outlive its attachment.  Attaching the same
+  /// sink twice is an error.
   void add_event_sink(EventSink& sink);
 
   /// Detach `sink` (no-op if it is not attached).
   void remove_event_sink(const EventSink& sink);
+
+  /// Number of sinks currently attached.
+  [[nodiscard]] std::size_t event_sink_count() const noexcept { return sinks_.list.size(); }
 
   /// True when this system and `other` are in the same machine state: the
   /// state that determines all future behaviour of *infinite* streams.  It
@@ -169,7 +161,7 @@ class MemorySystem {
   /// the remaining wait before its start cycle), the rotation of the
   /// cyclic priority, and every bank's remaining busy time, all relative
   /// to each system's own now().  Absolute time, statistics and event
-  /// hooks are not part of it.  Equal states => identical futures: from
+  /// sinks are not part of it.  Equal states => identical futures: from
   /// here on both systems emit the same (port, bank, type, conflict kind)
   /// sequence.  Exact cycle detection in find_steady_state() rests on it.
   ///
@@ -198,7 +190,6 @@ class MemorySystem {
   /// A port's phase as same_state() compares it: (next bank, or m plus
   /// the pattern position, or -2 once done; remaining start wait).
   [[nodiscard]] std::pair<i64, i64> phase_of(const PortState& port) const;
-  void emit(const Event& e) const;
   void init_fault_state();
   void apply_due_faults();
   void rebuild_surviving();
@@ -220,11 +211,19 @@ class MemorySystem {
   /// X-MP driver adds one port per vector instruction) costs O(live
   /// ports) per cycle.  rr_ still rotates over all port indices.
   std::vector<std::size_t> live_;
-  /// Attached hooks, keyed by handle; removed entries stay as empty
-  /// functions so handles remain stable (hook churn is rare and tiny).
-  std::vector<EventHook> hooks_;
-  std::size_t live_hooks_ = 0;  ///< count of non-empty entries in hooks_
-  std::vector<EventSink*> sinks_;
+  /// Attached sinks, in attachment order.  Copying or moving one yields
+  /// an empty list (see SystemState), so the implicit copy and move
+  /// operations of MemorySystem never share a sink.
+  struct SinkList {
+    SinkList() = default;
+    SinkList(const SinkList& /*other*/) noexcept {}
+    SinkList& operator=(const SinkList& other) noexcept {
+      if (this != &other) list.clear();
+      return *this;
+    }
+    std::vector<EventSink*> list;
+  };
+  SinkList sinks_;
   std::vector<Event> step_events_;  ///< this step's events (scratch, >= live ports)
   // Per-step scratch (members to avoid per-cycle allocation).  Claims are
   // made only by grants, and step() frees just the entries listed in

@@ -119,8 +119,8 @@ struct GuardedRun {
 
 /// Drive an existing MemorySystem under the watchdog until its workload
 /// finishes — or, when `horizon` >= 0, until `horizon` total cycles have
-/// elapsed (for infinite workloads, which never finish).  Event hooks
-/// already attached to `mem` keep firing, so observers (obs::Collector,
+/// elapsed (for infinite workloads, which never finish).  Event sinks
+/// already attached to `mem` keep firing, so observers (obs::Tracer,
 /// trace::Timeline) can watch a guarded run; obs::report_run_guarded is
 /// built on this.  Unlike run_guarded this never throws: the caller
 /// already built the system, so all inputs were validated.

@@ -69,20 +69,4 @@ void EventBuffer::clear() {
   recorded_ = 0;
 }
 
-EventRecorder::EventRecorder(MemorySystem& mem, std::shared_ptr<EventBuffer> buffer,
-                             std::size_t capacity)
-    : mem_{mem},
-      buffer_{buffer ? std::move(buffer) : std::make_shared<EventBuffer>(capacity)},
-      hook_{mem.add_event_hook(
-          [b = buffer_.get()](const Event& e) { b->push(e); })},
-      attached_{true} {}
-
-EventRecorder::~EventRecorder() { detach(); }
-
-void EventRecorder::detach() {
-  if (!attached_) return;
-  mem_.remove_event_hook(hook_);
-  attached_ = false;
-}
-
 }  // namespace vpmem::sim

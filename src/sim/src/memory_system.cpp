@@ -221,48 +221,16 @@ i64 MemorySystem::hottest_bank() const {
 
 bool MemorySystem::finished() const noexcept { return live_.empty(); }
 
-std::size_t MemorySystem::add_event_hook(EventHook hook) {
-  if (!hook) throw std::invalid_argument{"add_event_hook: hook must be callable"};
-  // Reuse a vacated slot when available to keep the fan-out loop dense.
-  for (std::size_t h = 0; h < hooks_.size(); ++h) {
-    if (!hooks_[h]) {
-      hooks_[h] = std::move(hook);
-      ++live_hooks_;
-      return h;
-    }
-  }
-  hooks_.push_back(std::move(hook));
-  ++live_hooks_;
-  return hooks_.size() - 1;
-}
-
-void MemorySystem::remove_event_hook(std::size_t handle) {
-  if (handle >= hooks_.size() || !hooks_[handle]) return;
-  hooks_[handle] = nullptr;
-  --live_hooks_;
-}
-
-std::size_t MemorySystem::event_hook_count() const noexcept {
-  return live_hooks_ + sinks_.size();
-}
-
 void MemorySystem::add_event_sink(EventSink& sink) {
-  if (std::find(sinks_.begin(), sinks_.end(), &sink) != sinks_.end()) {
+  if (std::find(sinks_.list.begin(), sinks_.list.end(), &sink) != sinks_.list.end()) {
     throw std::invalid_argument{"add_event_sink: sink already attached"};
   }
-  sinks_.push_back(&sink);
+  sinks_.list.push_back(&sink);
 }
 
 void MemorySystem::remove_event_sink(const EventSink& sink) {
-  const auto it = std::find(sinks_.begin(), sinks_.end(), &sink);
-  if (it != sinks_.end()) sinks_.erase(it);
-}
-
-void MemorySystem::emit(const Event& e) const {
-  if (live_hooks_ == 0) return;
-  for (const EventHook& hook : hooks_) {
-    if (hook) hook(e);
-  }
+  const auto it = std::find(sinks_.list.begin(), sinks_.list.end(), &sink);
+  if (it != sinks_.list.end()) sinks_.list.erase(it);
 }
 
 void MemorySystem::step() {
@@ -320,7 +288,6 @@ void MemorySystem::step() {
       ev.conflict = ConflictKind::fault;
       ++port.stats.fault_conflicts;
       port.stats.longest_stall = std::max(port.stats.longest_stall, ++port.stats.current_stall);
-      emit(ev);
       continue;
     }
 
@@ -338,7 +305,6 @@ void MemorySystem::step() {
         ++port.stats.simultaneous_conflicts;
       }
       port.stats.longest_stall = std::max(port.stats.longest_stall, ++port.stats.current_stall);
-      emit(ev);
       continue;
     }
 
@@ -350,7 +316,6 @@ void MemorySystem::step() {
       ev.blocker = bank_owner_[bank_u];
       ++port.stats.bank_conflicts;
       port.stats.longest_stall = std::max(port.stats.longest_stall, ++port.stats.current_stall);
-      emit(ev);
       continue;
     }
 
@@ -362,7 +327,6 @@ void MemorySystem::step() {
       ev.conflict = ConflictKind::section;
       ++port.stats.section_conflicts;
       port.stats.longest_stall = std::max(port.stats.longest_stall, ++port.stats.current_stall);
-      emit(ev);
       continue;
     }
 
@@ -379,7 +343,6 @@ void MemorySystem::step() {
     port.stats.last_grant_cycle = now_;
     ev.type = Event::Type::grant;
     ev.blocker = idx;
-    emit(ev);
     ++port.issued;
     retired = retired || port.done();
   }
@@ -390,7 +353,7 @@ void MemorySystem::step() {
                 live_.end());
   }
   if (events > 0) {
-    for (EventSink* sink : sinks_) sink->on_events({step_events_.data(), events});
+    for (EventSink* sink : sinks_.list) sink->on_events({step_events_.data(), events});
   }
   ++now_;
   if (config_.priority == PriorityRule::cyclic && !ports_.empty()) {

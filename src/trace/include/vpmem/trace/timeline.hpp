@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,21 +28,23 @@ namespace vpmem::trace {
 /// Timeline owns a fresh buffer; pass a shared one (e.g. from
 /// obs::Tracer::share_buffer()) to render diagrams from a run that is
 /// already being traced without storing the event stream twice.
-class Timeline {
+class Timeline : private sim::EventSink {
  public:
-  /// Record into a private buffer (capacity sim::EventBuffer defaults).
+  /// Record into a private buffer (capacity sim::EventBuffer defaults):
+  /// the Timeline attaches itself to `mem` as a sink and detaches on
+  /// destruction.
   explicit Timeline(sim::MemorySystem& mem);
 
-  /// Read from `buffer` without attaching any hook: some other observer
-  /// (an EventRecorder or a Tracer) fills it.  Windows older than the
-  /// buffer's retention render as idle.
+  /// Read from `buffer` without attaching to `mem`: some other sink (a
+  /// Tracer) fills it.  Windows older than the buffer's retention render
+  /// as idle.
   Timeline(sim::MemorySystem& mem, std::shared_ptr<sim::EventBuffer> buffer);
 
   Timeline(const Timeline&) = delete;
   Timeline& operator=(const Timeline&) = delete;
   Timeline(Timeline&&) = delete;
   Timeline& operator=(Timeline&&) = delete;
-  ~Timeline();
+  ~Timeline() override;
 
   /// All retained events in emission order, unpacked from the buffer.
   [[nodiscard]] std::vector<sim::Event> events() const { return buffer_->events(); }
@@ -63,10 +66,11 @@ class Timeline {
   void events_csv(std::ostream& os) const;
 
  private:
+  void on_events(std::span<const sim::Event> events) override { buffer_->push(events); }
+
   sim::MemorySystem& mem_;
   std::shared_ptr<sim::EventBuffer> buffer_;
-  /// Present only when this Timeline records for itself (first ctor).
-  std::unique_ptr<sim::EventRecorder> recorder_;
+  bool recording_ = false;  ///< attached to mem_ (first ctor)
 };
 
 /// One-shot helper: simulate `streams` on `config` for `cycles` periods

@@ -8,16 +8,18 @@
 namespace vpmem::trace {
 
 Timeline::Timeline(sim::MemorySystem& mem)
-    : mem_{mem},
-      buffer_{std::make_shared<sim::EventBuffer>()},
-      recorder_{std::make_unique<sim::EventRecorder>(mem, buffer_)} {}
+    : mem_{mem}, buffer_{std::make_shared<sim::EventBuffer>()}, recording_{true} {
+  mem_.add_event_sink(*this);
+}
 
 Timeline::Timeline(sim::MemorySystem& mem, std::shared_ptr<sim::EventBuffer> buffer)
     : mem_{mem}, buffer_{std::move(buffer)} {
   if (!buffer_) throw std::invalid_argument{"Timeline: null event buffer"};
 }
 
-Timeline::~Timeline() = default;
+Timeline::~Timeline() {
+  if (recording_) mem_.remove_event_sink(*this);
+}
 
 namespace {
 

@@ -55,7 +55,7 @@ TEST(PerfTelemetry, DetectionAndSweepReportPositiveCycleCounts) {
 
 TEST(PerfTelemetry, TracerOverheadStaysUnderTwoX) {
   // The tracing v2 budget: a fully instrumented run (bounded event buffer
-  // + attribution fold on a single hook) must cost less than 2x the plain
+  // + attribution fold in one typed sink) must cost less than 2x the plain
   // engine.  Best-of-5 minimum timing on a mid-size workload keeps the
   // comparison stable against scheduler noise.
   const sim::MemoryConfig config{.banks = 64, .sections = 16, .bank_cycle = 4};

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -24,10 +25,9 @@ ConflictAttribution attribute_run(const sim::MemoryConfig& config,
                                   AttributionOptions options = {}) {
   sim::MemorySystem mem{config, streams};
   ConflictAttribution attribution{config, options};
-  const std::size_t hook =
-      mem.add_event_hook([&](const sim::Event& e) { attribution.observe(e); });
+  mem.add_event_sink(attribution);
   mem.run(cycles, /*stop_when_finished=*/false);
-  mem.remove_event_hook(hook);
+  mem.remove_event_sink(attribution);
   attribution.finalize(mem.now());
   stats = mem.all_stats();
   return attribution;
@@ -163,9 +163,9 @@ TEST(ConflictAttribution, BandwidthSeriesCoversTheWholeWindow) {
   const sim::MemoryConfig config{.banks = 8, .sections = 8, .bank_cycle = 4};
   sim::MemorySystem mem{config, sim::two_streams(0, 1, 0, 4)};
   ConflictAttribution a{config, AttributionOptions{.window = 10}};
-  const std::size_t hook = mem.add_event_hook([&](const sim::Event& e) { a.observe(e); });
+  mem.add_event_sink(a);
   mem.run(95, /*stop_when_finished=*/false);
-  mem.remove_event_hook(hook);
+  mem.remove_event_sink(a);
   a.finalize(mem.now());
 
   const auto& series = a.bandwidth_series();
@@ -181,6 +181,38 @@ TEST(ConflictAttribution, BandwidthSeriesCoversTheWholeWindow) {
   EXPECT_EQ(cycles, 95);
   EXPECT_EQ(series.back().cycles, 5);  // partial final window
   EXPECT_EQ(grants, a.total_grants());
+}
+
+TEST(ConflictAttribution, StallHistogramOnBarrierCountsOpenRuns) {
+  // The Fig. 3 barrier produces real delay runs.  Stop the run while a
+  // stream is stalled: that open run must be counted at finalize(), so
+  // the histogram's mass is every lost cycle, and its longest run is the
+  // simulator's longest_stall.
+  const sim::MemoryConfig config{.banks = 13, .sections = 13, .bank_cycle = 6};
+  sim::MemorySystem mem{config, sim::two_streams(0, 1, 0, 6)};
+  ConflictAttribution a{config};
+  mem.add_event_sink(a);
+  mem.run(600, /*stop_when_finished=*/false);
+  const auto stalled = [&mem] {
+    for (const auto& p : mem.all_stats()) {
+      if (p.current_stall > 0) return true;
+    }
+    return false;
+  };
+  while (!stalled()) mem.step();
+  mem.remove_event_sink(a);
+  a.finalize(mem.now());
+
+  const Histogram& runs = a.stall_lengths();
+  ASSERT_GT(runs.count(), 0);
+  i64 lost = 0;
+  i64 longest = 0;
+  for (const auto& p : mem.all_stats()) {
+    lost += p.total_conflicts();
+    longest = std::max(longest, p.longest_stall);
+  }
+  EXPECT_EQ(runs.sum(), lost);
+  EXPECT_EQ(runs.max(), longest);
 }
 
 TEST(ConflictAttribution, ObserveAfterFinalizeThrows) {
@@ -217,7 +249,7 @@ TEST(ConflictAttribution, JsonSummaryReconcilesWithCounters) {
   EXPECT_EQ(Json::parse(doc.dump()), doc);
 }
 
-TEST(ConflictAttribution, ObserveCycleMatchesPerEventObserve) {
+TEST(ConflictAttribution, BatchedFoldMatchesPerEventObserve) {
   // Folding each clock period's events at once (the tracer's sink path)
   // must give the same summary as folding them one by one.
   const sim::MemoryConfig config{.banks = 16, .sections = 4, .bank_cycle = 4};
@@ -227,24 +259,27 @@ TEST(ConflictAttribution, ObserveCycleMatchesPerEventObserve) {
                                         .cpu = p % 2, .length = 40 + 30 * p});
   }
   sim::MemorySystem mem{config, streams};
-  std::vector<sim::Event> events;
-  mem.add_event_hook([&](const sim::Event& e) { events.push_back(e); });
+  sim::EventLog log;
+  mem.add_event_sink(log);
   mem.run(300, /*stop_when_finished=*/false);
+  const std::vector<sim::Event>& events = log.events;
   ConflictAttribution single{config, AttributionOptions{.window = 16}};
   ConflictAttribution batched{config, AttributionOptions{.window = 16}};
   for (const sim::Event& e : events) single.observe(e);
   for (std::size_t i = 0; i < events.size();) {
     std::size_t j = i;
     while (j < events.size() && events[j].cycle == events[i].cycle) ++j;
-    batched.observe_cycle(std::span<const sim::Event>{events}.subspan(i, j - i));
+    batched.on_events(std::span<const sim::Event>{events}.subspan(i, j - i));
     i = j;
   }
-  batched.observe_cycle({});
+  batched.on_events({});
   single.finalize(mem.now());
   batched.finalize(mem.now());
   EXPECT_GT(single.episodes().size(), 1u);
   EXPECT_EQ(batched.to_json(), single.to_json());
-  EXPECT_THROW(batched.observe_cycle(std::span<const sim::Event>{events}.first(1)),
+  EXPECT_GT(single.stall_lengths().count(), 0);
+  EXPECT_EQ(batched.stall_lengths().to_json(), single.stall_lengths().to_json());
+  EXPECT_THROW(batched.on_events(std::span<const sim::Event>{events}.first(1)),
                std::logic_error);
 }
 

@@ -43,6 +43,23 @@ void expect_report_matches_all_stats(const sim::MemoryConfig& config,
   EXPECT_EQ(report.conflicts.bank, truth_totals.bank);
   EXPECT_EQ(report.conflicts.simultaneous, truth_totals.simultaneous);
   EXPECT_EQ(report.conflicts.section, truth_totals.section);
+
+  // The metrics block agrees with the counters, and every lost cycle
+  // belongs to exactly one stall run (open runs included).
+  const Json& metrics = report.metrics;
+  i64 grants = 0;
+  for (const auto& p : truth) grants += p.grants;
+  EXPECT_EQ(metrics.at("grants").as_int(), grants);
+  EXPECT_EQ(metrics.at("conflicts.bank").as_int(), truth_totals.bank);
+  EXPECT_EQ(metrics.at("conflicts.simultaneous").as_int(), truth_totals.simultaneous);
+  EXPECT_EQ(metrics.at("conflicts.section").as_int(), truth_totals.section);
+  EXPECT_EQ(metrics.at("stall_length").at("sum").as_int(), truth_totals.total());
+  EXPECT_EQ(metrics.at("bank_grants").at("sum").as_int(), grants);
+  EXPECT_EQ(metrics.at("ports").as_array().size(), truth.size());
+  // Leaving the attribution block out leaves the metrics alone.
+  const RunReport plain = report_run(config, streams, {.attribution = false});
+  EXPECT_TRUE(plain.attribution.is_null());
+  EXPECT_EQ(plain.metrics, metrics);
 }
 
 TEST(RunReport, CountersMatchAllStatsOnFig2) {

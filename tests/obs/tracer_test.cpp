@@ -1,5 +1,5 @@
 // Tracer: Chrome trace-event export (schema vpmem.trace/1), buffer/
-// Collector reconciliation, the shared-buffer path into Timeline, and the
+// counter reconciliation, the shared-buffer path into Timeline, and the
 // golden bytes of the trace and run-report exports.
 #include "vpmem/obs/tracer.hpp"
 
@@ -10,7 +10,6 @@
 #include <sstream>
 #include <string>
 
-#include "vpmem/obs/collector.hpp"
 #include "vpmem/obs/report.hpp"
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/sim/steady_state.hpp"
@@ -26,17 +25,15 @@ const sim::MemoryConfig kFig3{.banks = 13, .sections = 13, .bank_cycle = 6};
 
 std::vector<sim::StreamConfig> fig3_streams() { return sim::two_streams(0, 1, 0, 6); }
 
-TEST(Tracer, EventCountsMatchCollector) {
+TEST(Tracer, EventCountsMatchAllStats) {
   sim::MemorySystem mem{kFig3, fig3_streams()};
-  Collector collector{mem};
   Tracer tracer{mem};
   mem.run(156, /*stop_when_finished=*/false);
-  collector.finish();
   tracer.finish();
 
   i64 grants = 0;
   i64 conflicts = 0;
-  for (const auto& p : collector.port_stats()) {
+  for (const auto& p : mem.all_stats()) {
     grants += p.grants;
     conflicts += p.total_conflicts();
   }
@@ -163,11 +160,11 @@ TEST(Tracer, SaveWritesAParseableFile) {
 TEST(Tracer, FinishDetachesAndIsIdempotent) {
   sim::MemorySystem mem{kFig3, fig3_streams()};
   Tracer tracer{mem};
-  EXPECT_EQ(mem.event_hook_count(), 1u);
+  EXPECT_EQ(mem.event_sink_count(), 1u);
   mem.run(20, /*stop_when_finished=*/false);
   tracer.finish();
   tracer.finish();
-  EXPECT_EQ(mem.event_hook_count(), 0u);
+  EXPECT_EQ(mem.event_sink_count(), 0u);
   const i64 recorded = tracer.buffer().recorded();
   mem.run(20, /*stop_when_finished=*/false);
   EXPECT_EQ(tracer.buffer().recorded(), recorded);
@@ -205,15 +202,42 @@ TEST(Tracer, SharesBufferWithTimeline) {
   Tracer tracer{mem};
   trace::Timeline timeline{mem, tracer.share_buffer()};
   mem.run(26, /*stop_when_finished=*/false);
-  // Only the tracer's hook is attached; the Timeline reads the same
-  // buffer without recording the stream twice.
-  EXPECT_EQ(mem.event_hook_count(), 1u);
+  // Only the tracer is attached; the Timeline reads the same buffer
+  // without recording the stream twice.
+  EXPECT_EQ(mem.event_sink_count(), 1u);
   const auto grid = timeline.grid(0, 26);
   ASSERT_EQ(grid.size(), static_cast<std::size_t>(kFig3.banks));
   // Fig. 3's opening pattern on bank 0: stream 1 is granted at cycle 0
   // and stream 2 waits on the active bank ("1<<<<<").
   EXPECT_EQ(grid[0].substr(0, 6), "1<<<<<");
   EXPECT_EQ(timeline.events().size(), static_cast<std::size_t>(tracer.buffer().size()));
+}
+
+TEST(Tracer, CoexistsWithARecordingTimeline) {
+  // A Tracer and a Timeline with its own buffer are two sinks on one
+  // run; each must see the full event stream.
+  sim::MemorySystem mem{kFig3, fig3_streams()};
+  trace::Timeline timeline{mem};
+  Tracer tracer{mem};
+  EXPECT_EQ(mem.event_sink_count(), 2u);
+  mem.run(200, /*stop_when_finished=*/false);
+  tracer.finish();
+  EXPECT_EQ(mem.event_sink_count(), 1u);  // the Timeline is still attached
+
+  i64 grants = 0;
+  i64 conflicts = 0;
+  for (const auto& p : mem.all_stats()) {
+    grants += p.grants;
+    conflicts += p.total_conflicts();
+  }
+  i64 timeline_grants = 0;
+  i64 timeline_conflicts = 0;
+  for (const auto& e : timeline.events()) {
+    (e.type == sim::Event::Type::grant ? timeline_grants : timeline_conflicts) += 1;
+  }
+  EXPECT_EQ(timeline_grants, grants);
+  EXPECT_EQ(timeline_conflicts, conflicts);
+  EXPECT_EQ(tracer.buffer().recorded(), grants + conflicts);
 }
 
 // Golden bytes: FNV-1a of the exported documents.  The values were

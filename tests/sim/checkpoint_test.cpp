@@ -34,10 +34,11 @@ std::vector<StreamConfig> sample_streams() {
 
 /// Grant/conflict trail of `mem` over the next `cycles` periods.
 std::vector<Event> trail(MemorySystem& mem, i64 cycles) {
-  std::vector<Event> events;
-  static_cast<void>(mem.add_event_hook([&events](const Event& e) { events.push_back(e); }));
+  EventLog log;
+  mem.add_event_sink(log);
   mem.run(cycles, /*stop_when_finished=*/false);
-  return events;
+  mem.remove_event_sink(log);
+  return std::move(log.events);
 }
 
 void expect_same_trail(const std::vector<Event>& a, const std::vector<Event>& b) {

@@ -137,13 +137,15 @@ TEST(FaultModel, RemapSpareRoutesAroundDeadBank) {
   FaultPlan plan;
   plan.policy = FaultPolicy::remap_spare;
   plan.events = {boff(0, 2)};
-  std::vector<i64> banks;
   MemorySystem mem{flat(4, 1), {StreamConfig{.start_bank = 0, .distance = 1, .length = 9}},
                    plan};
-  static_cast<void>(mem.add_event_hook([&banks](const Event& e) {
-    if (e.type == Event::Type::grant) banks.push_back(e.bank);
-  }));
+  EventLog log;
+  mem.add_event_sink(log);
   mem.run(20);
+  std::vector<i64> banks;
+  for (const Event& e : log.events) {
+    if (e.type == Event::Type::grant) banks.push_back(e.bank);
+  }
   // Survivors ascending = {0, 1, 3}; slot k = (0 + k) mod 3.
   EXPECT_EQ(banks, (std::vector<i64>{0, 1, 3, 0, 1, 3, 0, 1, 3}));
   EXPECT_EQ(mem.all_stats().at(0).fault_conflicts, 0);
@@ -166,11 +168,8 @@ TEST(FaultModel, NextBankIsTheRemappedBankStepRequests) {
   for (const PortStats& p : mem.all_stats()) granted_before += p.grants;
   std::vector<std::optional<i64>> predicted;
   i64 grants_checked = 0;
-  static_cast<void>(mem.add_event_hook([&](const Event& e) {
-    ASSERT_TRUE(predicted.at(e.port).has_value());
-    EXPECT_EQ(e.bank, *predicted[e.port]) << "port " << e.port << " cycle " << e.cycle;
-    if (e.type == Event::Type::grant) ++grants_checked;
-  }));
+  EventLog log;
+  mem.add_event_sink(log);
   i64 remapped = 0;
   while (!mem.finished()) {
     predicted.clear();
@@ -181,7 +180,13 @@ TEST(FaultModel, NextBankIsTheRemappedBankStepRequests) {
       const StreamConfig& s = mem.stream(p);
       if (*predicted.back() != s.bank_of(mem.elements_done(p), 8)) ++remapped;
     }
+    log.events.clear();
     mem.step();
+    for (const Event& e : log.events) {
+      ASSERT_TRUE(predicted.at(e.port).has_value());
+      EXPECT_EQ(e.bank, *predicted[e.port]) << "port " << e.port << " cycle " << e.cycle;
+      if (e.type == Event::Type::grant) ++grants_checked;
+    }
   }
   EXPECT_EQ(grants_checked + granted_before, 40 + 40 + 30);
   EXPECT_GT(remapped, 20);
@@ -233,15 +238,17 @@ TEST(FaultModel, PathOutageBlocksOnlyTheAffectedCpu) {
   EXPECT_EQ(stats.at(1).grants, 10);
 }
 
-TEST(FaultModel, FaultEventsReachHooksWithKindFault) {
+TEST(FaultModel, FaultEventsReachSinksWithKindFault) {
   FaultPlan plan;
   plan.events = {boff(0, 0)};
   MemorySystem mem{flat(4, 1), {StreamConfig{.start_bank = 0, .distance = 0}}, plan};
-  i64 fault_events = 0;
-  static_cast<void>(mem.add_event_hook([&fault_events](const Event& e) {
-    if (e.type == Event::Type::conflict && e.conflict == ConflictKind::fault) ++fault_events;
-  }));
+  EventLog log;
+  mem.add_event_sink(log);
   mem.run(5);
+  i64 fault_events = 0;
+  for (const Event& e : log.events) {
+    if (e.type == Event::Type::conflict && e.conflict == ConflictKind::fault) ++fault_events;
+  }
   EXPECT_EQ(fault_events, 5);
 }
 

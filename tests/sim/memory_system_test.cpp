@@ -15,6 +15,15 @@ namespace {
 
 MemoryConfig flat(i64 m, i64 nc) { return MemoryConfig{.banks = m, .sections = m, .bank_cycle = nc}; }
 
+/// Banks of the logged grants, in order.
+std::vector<i64> granted_banks(const EventLog& log) {
+  std::vector<i64> banks;
+  for (const Event& e : log.events) {
+    if (e.type == Event::Type::grant) banks.push_back(e.bank);
+  }
+  return banks;
+}
+
 TEST(MemorySystem, EmptyConstructionAllowsLaterInjection) {
   MemorySystem mem{flat(8, 2), {}};
   EXPECT_TRUE(mem.finished());
@@ -27,13 +36,11 @@ TEST(MemorySystem, EmptyConstructionAllowsLaterInjection) {
 
 TEST(MemorySystem, SingleStreamStridesThroughBanks) {
   MemorySystem mem{flat(8, 2), {StreamConfig{.start_bank = 3, .distance = 2, .length = 6}}};
-  std::vector<i64> banks;
-  mem.add_event_hook([&](const Event& e) {
-    if (e.type == Event::Type::grant) banks.push_back(e.bank);
-  });
+  EventLog log;
+  mem.add_event_sink(log);
   mem.run(100);
   EXPECT_TRUE(mem.finished());
-  EXPECT_EQ(banks, (std::vector<i64>{3, 5, 7, 1, 3, 5}));
+  EXPECT_EQ(granted_banks(log), (std::vector<i64>{3, 5, 7, 1, 3, 5}));
 }
 
 TEST(MemorySystem, GrantsOnePerCycleWhenConflictFree) {
@@ -50,14 +57,14 @@ TEST(MemorySystem, GrantsOnePerCycleWhenConflictFree) {
 TEST(MemorySystem, SelfBankConflictDelaysAtStartBank) {
   // m = 4, d = 2 -> r = 2 < nc = 4: returns to the start bank too early.
   MemorySystem mem{flat(4, 4), {StreamConfig{.start_bank = 0, .distance = 2, .length = 4}}};
-  std::vector<Event> conflicts;
-  mem.add_event_hook([&](const Event& e) {
-    if (e.type == Event::Type::conflict) conflicts.push_back(e);
-  });
+  EventLog log;
+  mem.add_event_sink(log);
   mem.run(1000);
   EXPECT_TRUE(mem.finished());
-  ASSERT_FALSE(conflicts.empty());
-  for (const auto& c : conflicts) {
+  i64 conflicts = 0;
+  for (const auto& c : log.events) {
+    if (c.type != Event::Type::conflict) continue;
+    ++conflicts;
     EXPECT_EQ(c.conflict, ConflictKind::bank);
     // Section III-A: the conflict always occurs at the start bank.
     EXPECT_EQ(c.bank, 0);
@@ -65,6 +72,7 @@ TEST(MemorySystem, SelfBankConflictDelaysAtStartBank) {
   // Elements visit banks 0,2,0,2: only the return to bank 0 (element 2)
   // is early, by nc - r = 2 periods; the final return to bank 2 arrives
   // exactly as it frees.
+  EXPECT_EQ(conflicts, 2);
   EXPECT_EQ(mem.port_stats(0).bank_conflicts, 2);
 }
 
@@ -86,9 +94,10 @@ TEST(MemorySystem, SimultaneousBankConflictAcrossCpus) {
   // period; fixed priority: port 0 wins, port 1 records a simultaneous
   // bank conflict.
   MemorySystem mem{flat(8, 2), two_streams(0, 1, 0, 1, /*same_cpu=*/false)};
-  std::vector<Event> events;
-  mem.add_event_hook([&](const Event& e) { events.push_back(e); });
+  EventLog log;
+  mem.add_event_sink(log);
   mem.step();
+  const std::vector<Event>& events = log.events;
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].type, Event::Type::grant);
   EXPECT_EQ(events[0].port, 0u);
@@ -145,14 +154,16 @@ TEST(MemorySystem, DelayedPortRetainsElementOrder) {
   // requests of that port; elements are still transferred in order.
   MemoryConfig cfg = flat(4, 4);
   MemorySystem mem{cfg, {StreamConfig{.start_bank = 0, .distance = 2, .length = 8}}};
-  std::vector<i64> elements;
-  mem.add_event_hook([&](const Event& e) {
-    if (e.type == Event::Type::grant) elements.push_back(e.element);
-  });
+  EventLog log;
+  mem.add_event_sink(log);
   mem.run(1000);
-  for (std::size_t i = 0; i < elements.size(); ++i) {
-    EXPECT_EQ(elements[i], static_cast<i64>(i));
+  i64 next = 0;
+  for (const Event& e : log.events) {
+    if (e.type == Event::Type::grant) {
+      EXPECT_EQ(e.element, next++);
+    }
   }
+  EXPECT_EQ(next, 8);
 }
 
 TEST(MemorySystem, StartCycleDefersFirstRequest) {
@@ -235,12 +246,10 @@ TEST(MemorySystem, SameStateRepeatsWithCyclicBehaviour) {
 TEST(MemorySystem, DistanceLargerThanBanksWrap) {
   // distance is taken mod m for bank addressing.
   MemorySystem mem{flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 9, .length = 3}}};
-  std::vector<i64> banks;
-  mem.add_event_hook([&](const Event& e) {
-    if (e.type == Event::Type::grant) banks.push_back(e.bank);
-  });
+  EventLog log;
+  mem.add_event_sink(log);
   mem.run(100);
-  EXPECT_EQ(banks, (std::vector<i64>{0, 1, 2}));
+  EXPECT_EQ(granted_banks(log), (std::vector<i64>{0, 1, 2}));
 }
 
 TEST(MemorySystem, BankGrantStatistics) {
@@ -290,11 +299,11 @@ TEST(MemorySystem, ZeroLengthStreamIsImmediatelyDone) {
 // live list, or an uninterrupted run of the same system).
 
 std::vector<Event> record(MemorySystem& mem, i64 cycles) {
-  std::vector<Event> events;
-  const std::size_t hook = mem.add_event_hook([&events](const Event& e) { events.push_back(e); });
+  EventLog log;
+  mem.add_event_sink(log);
   mem.run(cycles, /*stop_when_finished=*/false);
-  mem.remove_event_hook(hook);
-  return events;
+  mem.remove_event_sink(log);
+  return std::move(log.events);
 }
 
 void expect_same_events(const std::vector<Event>& got, const std::vector<Event>& want,
@@ -451,10 +460,12 @@ TEST(MemorySystemSinks, ReceiveEachStepsEventsInOneBatch) {
       StreamConfig{.start_bank = 6, .distance = 3, .length = 7, .start_cycle = 5}};
   MemorySystem mem{config, streams};
   BatchSink sink;
+  EventLog log;  // a second sink on the same run sees every event too
   mem.add_event_sink(sink);
-  EXPECT_EQ(mem.event_hook_count(), 1u);
+  mem.add_event_sink(log);
+  EXPECT_EQ(mem.event_sink_count(), 2u);
   EXPECT_THROW(mem.add_event_sink(sink), std::invalid_argument);
-  const std::vector<Event> hooked = record(mem, 40);  // the hook sees every event too
+  mem.run(40, /*stop_when_finished=*/false);
   std::vector<Event> flat;
   for (const std::vector<Event>& batch : sink.batches) {
     ASSERT_FALSE(batch.empty());
@@ -464,13 +475,46 @@ TEST(MemorySystemSinks, ReceiveEachStepsEventsInOneBatch) {
     }
     flat.insert(flat.end(), batch.begin(), batch.end());
   }
-  expect_same_events(flat, hooked, "sink");
-  mem.remove_event_sink(sink);
-  EXPECT_EQ(mem.event_hook_count(), 0u);
+  expect_same_events(flat, log.events, "sink");
+  // Detaching one sink leaves the other attached.
+  mem.remove_event_sink(log);
+  EXPECT_EQ(mem.event_sink_count(), 1u);
+  const std::size_t logged = log.events.size();
   const std::size_t batches = sink.batches.size();
   mem.run(10, /*stop_when_finished=*/false);
-  EXPECT_EQ(sink.batches.size(), batches);
+  EXPECT_EQ(log.events.size(), logged);
+  EXPECT_GT(sink.batches.size(), batches);
+  mem.remove_event_sink(sink);
+  EXPECT_EQ(mem.event_sink_count(), 0u);
+  mem.run(10, /*stop_when_finished=*/false);
+  EXPECT_EQ(sink.batches.size(), batches + 10);
   mem.remove_event_sink(sink);  // detaching twice is a no-op
+}
+
+TEST(MemorySystemSinks, CopiesStartWithNoSinks) {
+  // A sink observes the system it was attached to.  A copy that kept the
+  // sink would go on calling it after it was detached from the original,
+  // and into freed memory once it is destroyed.
+  MemorySystem mem{flat(8, 4), two_streams(0, 1, 1, 1)};
+  EventLog log;
+  mem.add_event_sink(log);
+  MemorySystem copy{mem};
+  EXPECT_EQ(copy.event_sink_count(), 0u);
+  MemorySystem assigned{flat(4, 1), {}};
+  EventLog own;
+  assigned.add_event_sink(own);
+  assigned = mem;
+  EXPECT_EQ(assigned.event_sink_count(), 0u);
+  EXPECT_EQ(mem.event_sink_count(), 1u);  // the original keeps its sink
+  mem.remove_event_sink(log);
+  copy.run(10, /*stop_when_finished=*/false);
+  assigned.run(10, /*stop_when_finished=*/false);
+  EXPECT_TRUE(log.events.empty());
+  EXPECT_TRUE(own.events.empty());
+  // Sinks attach to a copy on their own terms.
+  copy.add_event_sink(log);
+  copy.run(1, /*stop_when_finished=*/false);
+  EXPECT_EQ(log.events.size(), 2u);
 }
 
 }  // namespace

@@ -16,11 +16,13 @@ TEST(PatternStream, FollowsExplicitSequence) {
   s.bank_pattern = {3, 1, 4, 1, 5};
   s.length = 7;  // wraps around the period
   MemorySystem mem{flat(8, 1), {s}};
-  std::vector<i64> banks;
-  mem.add_event_hook([&](const Event& e) {
-    if (e.type == Event::Type::grant) banks.push_back(e.bank);
-  });
+  EventLog log;
+  mem.add_event_sink(log);
   mem.run(100);
+  std::vector<i64> banks;
+  for (const Event& e : log.events) {
+    if (e.type == Event::Type::grant) banks.push_back(e.bank);
+  }
   EXPECT_EQ(banks, (std::vector<i64>{3, 1, 4, 1, 5, 3, 1}));
 }
 

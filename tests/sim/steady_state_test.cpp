@@ -241,11 +241,12 @@ TEST(SteadyState, EqualStatesHaveEqualFutures) {
   // they emit the same events for 2 * m * nc periods.
   using Trace = std::vector<std::tuple<std::size_t, i64, Event::Type, ConflictKind>>;
   const auto future = [](MemorySystem mem, i64 cycles) {
-    Trace trace;
-    mem.add_event_hook([&trace](const Event& e) {
-      trace.emplace_back(e.port, e.bank, e.type, e.conflict);
-    });
+    EventLog log;
+    mem.add_event_sink(log);
     mem.run(cycles, /*stop_when_finished=*/false);
+    mem.remove_event_sink(log);
+    Trace trace;
+    for (const Event& e : log.events) trace.emplace_back(e.port, e.bank, e.type, e.conflict);
     return trace;
   };
   ConfigSampler sampler{0xf0'7e5ULL};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 namespace vpmem::trace {
@@ -73,6 +75,36 @@ TEST(Timeline, EventsRecorded) {
   mem.run(10);
   ASSERT_EQ(tl.events().size(), 2u);
   EXPECT_EQ(tl.events()[0].type, sim::Event::Type::grant);
+}
+
+TEST(Timeline, RecordsTheWholeRunAndDetachesOnDestruction) {
+  sim::MemorySystem mem{flat(8, 3), sim::two_streams(0, 1, 0, 2)};
+  i64 recorded = 0;
+  {
+    Timeline tl{mem};
+    EXPECT_EQ(mem.event_sink_count(), 1u);
+    mem.run(40, /*stop_when_finished=*/false);
+    recorded = tl.buffer().recorded();
+    // Every event of the run is in the buffer: grants + conflicts equal
+    // the simulator's own counters.
+    i64 expected = 0;
+    for (const auto& s : mem.all_stats()) expected += s.grants + s.total_conflicts();
+    EXPECT_EQ(recorded, expected);
+  }
+  EXPECT_GT(recorded, 0);
+  EXPECT_EQ(mem.event_sink_count(), 0u);
+  mem.run(10, /*stop_when_finished=*/false);  // nothing left to call
+}
+
+TEST(Timeline, ReaderOfASharedBufferAttachesNothing) {
+  sim::MemorySystem mem{flat(8, 3), sim::two_streams(0, 1, 0, 2)};
+  const auto buffer = std::make_shared<sim::EventBuffer>();
+  Timeline reader{mem, buffer};
+  EXPECT_EQ(mem.event_sink_count(), 0u);
+  EXPECT_EQ(&reader.buffer(), buffer.get());
+  mem.run(10, /*stop_when_finished=*/false);
+  EXPECT_TRUE(reader.events().empty());  // only whoever fills the buffer records
+  EXPECT_THROW((Timeline{mem, nullptr}), std::invalid_argument);
 }
 
 TEST(RenderRun, OneShotHelper) {

@@ -10,11 +10,15 @@
 #
 # The sanitizer pass rebuilds into build-asan/ with -fsanitize=address,undefined
 # (VPMEM_SANITIZE=ON) and reruns the sim + obs + check test binaries, which
-# exercise the event-hook multiplexer, the Collector's raw-pointer hot path
-# and the reference model's event-log scans, plus the X-MP and triad-
-# experiment tests, which drive the engine's live-port list and the kernel
-# driver's strip cursor, and the util JSON and journal tests, which cover
-# the single-buffer JSON writer and its stream flushes.
+# exercise the engine's typed event sinks (attach/detach, copies that start
+# without sinks, the per-step event batch), the sinks that hold raw
+# pointers into a run (Tracer, ConflictAttribution, Timeline, EventLog)
+# and the reference model's event-log scans; the timeline, invariants and
+# cross-validation tests, which run those sinks from trace, check and the
+# integration layer; the X-MP and triad-experiment tests, which drive the
+# engine's live-port list and the kernel driver's strip cursor; and the
+# util JSON and journal tests, which cover the single-buffer JSON writer
+# and its stream flushes.
 #
 # The TSan pass rebuilds into build-tsan/ with -fsanitize=thread
 # (VPMEM_SANITIZE_THREAD=ON) and runs `ctest -LE fork`: everything except
@@ -66,14 +70,15 @@ cmake -B build-asan -S . -DVPMEM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs" --target \
   sim_config_test sim_memory_system_test sim_steady_state_test sim_run_test \
   sim_pattern_test sim_event_buffer_test sim_fault_test sim_checkpoint_test \
-  obs_metrics_test obs_collector_test \
+  obs_metrics_test \
   obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
   check_reference_model_test check_differential_fuzz_test check_replay_test \
-  check_fault_plan_fuzz_test \
+  check_fault_plan_fuzz_test check_invariants_test \
+  trace_timeline_test integration_cross_validation_test \
   xmp_machine_test xmp_kernels_test xmp_multitask_test core_triad_experiment_test \
   util_json_test util_journal_test
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -R \
-  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|xmp_machine|xmp_kernels|xmp_multitask|core_triad_experiment|util_json|util_journal)'
+  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_invariants|trace_timeline|integration_cross_validation|xmp_machine|xmp_kernels|xmp_multitask|core_triad_experiment|util_json|util_journal)'
 
 echo "== sanitizer pass: TSan on everything but the fork-labelled suites =="
 cmake -B build-tsan -S . -DVPMEM_SANITIZE_THREAD=ON >/dev/null
