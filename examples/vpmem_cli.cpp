@@ -1,88 +1,27 @@
-// vpmem_cli — command-line front end to the library.
+// vpmem_cli — command-line front end to the library: the Section II
+// analyses (single, pair, render, report, diagnose, idim), the Section IV
+// X-MP kernels (triad, kernel), Perfetto traces, degraded-mode fault runs,
+// differential fuzzing and journaled sweep campaigns.  Run it with no
+// arguments for the synopsis, printed from the command table at the end
+// of this file.  Each subcommand accepts only the flags it reads.
 //
-//   vpmem_cli single <m> <nc> <d>
-//       One-stream analysis: return number, predicted and simulated b_eff.
-//   vpmem_cli pair <m> <nc> <d1> <d2> [--same-cpu] [--sections s]
-//       Two-stream classification plus the exact offset sweep.
-//   vpmem_cli render <m> <nc> <d1> <d2> <b1> <b2> [cycles] [--same-cpu]
-//            [--sections s] [--cyclic-priority] [--consecutive]
-//       Draw the clock diagram in the paper's notation.
-//   vpmem_cli report <m> <nc> <d1> [d2 [b1 b2]] [--length n] [--cycles N]
-//            [--same-cpu] [--sections s] [--cyclic-priority] [--consecutive]
-//       Run the configuration and emit the full structured RunReport
-//       (schema vpmem.run_report/1) as JSON — to stdout, or to the --json
-//       file when given.
-//   vpmem_cli triad <n> <inc> [--dedicated]
-//       Run the Section IV triad on the X-MP model.
-//   vpmem_cli idim <m> <nc> <stride> <arrays> <min_elements>
-//       Recommend a COMMON array extent (the IDIM question).
-//   vpmem_cli diagnose <m> <nc> <d1> <d2> [--same-cpu] [--sections s]
-//            [--cyclic-priority] [--consecutive]
-//       Conflict-regime map over every relative start position.
-//   vpmem_cli kernel <name> <n> <inc> [--dedicated]
-//       Run copy/scale/sum/daxpy/triad/gather/scatter on the X-MP model.
-//   vpmem_cli fuzz [iterations] [--seed S] [--cycles T] [--fault name]
-//            [--fault-plans] [--no-shrink] [--replay LINE] [--jobs N]
-//       Differential fuzzing: random configurations cross-checked against
-//       the naive reference model and the analytic theorems.  With
-//       --fault-plans every case also carries a randomized timed
-//       degradation plan (both sides must still agree event-for-event).
-//       Failures print one-line repros; --replay re-executes one.  With
-//       --jobs N cases are checked on N worker threads; the campaign is
-//       pre-sampled from the seed so the summary is byte-identical to the
-//       sequential run.  Exits 1 on any disagreement.
-//   vpmem_cli sweep <m> <nc> --d1 A:B --d2 A:B [--jobs N] [--journal f]
-//            [--resume] [--sandbox] [--retries N] [--out results.json]
-//            [--same-cpu] [--sections s] [--cyclic-priority]
-//            [--consecutive] [--test-crash ID]
-//       Campaign sweep over the (d1, d2) stride grid via the journaled
-//       executor (exec::run_campaign).  Every point is one job: steady-
-//       state b_eff, period, transient, conflicts — fully deterministic,
-//       so --out files from interrupted-then-resumed campaigns are byte-
-//       identical to uninterrupted ones.  --journal appends every attempt
-//       to an append-only vpmem.journal/1 file; --resume skips jobs the
-//       journal already settled (matched by config hash).  --sandbox
-//       fork-isolates each point so a crashing job is quarantined with a
-//       repro token instead of killing the campaign (--test-crash ID
-//       deliberately crashes that job to prove it).  Exits 8 when any
-//       job failed or was quarantined.
-//   vpmem_cli faults <m> <nc> <d1> [d2 [b1 b2]] (--plan file.json | --inline SPEC)
-//            [--policy stall|remap_spare] [--length n] [--cycles N]
-//            [--max-cycles N] [--same-cpu] [--sections s]
-//            [--cyclic-priority] [--consecutive]
-//       Degraded-mode run: apply a timed fault plan (schema
-//       vpmem.fault_plan/1 from --plan, or the compact --inline form,
-//       e.g. 'stall;boff@40:b3;bon@160:b3') under a watchdog and report
-//       the guarded RunReport plus the per-phase bandwidth between fault
-//       events.  Exits 5 if the cycle budget expired, 6 on livelock.
-//   vpmem_cli trace <m> <nc> <d1> [d2 [b1 b2]] [--out trace.json]
-//            [--length n] [--cycles N] [--window N] [--no-attribution]
-//            [--same-cpu] [--sections s] [--cyclic-priority] [--consecutive]
-//       Run the configuration with the tracer attached and write a Chrome
-//       trace-event / Perfetto JSON file (schema vpmem.trace/1) — load it
-//       at ui.perfetto.dev.  Infinite streams default to a transient +
-//       one-period window; the attribution summary also lands in the
-//       --json envelope.
+// --json <file> also writes a machine-readable record ('-' = stdout; the
+// human summary then moves to stderr): the vpmem.run_report/1 document for
+// `report`, a vpmem.cli/1 envelope {schema, command, ...} otherwise.  A
+// failed run still writes the envelope, with an "error" member carrying
+// {code, message}.
 //
-// Every subcommand accepts `--json <file>` and then also writes a
-// machine-readable record of its result ("-" writes the JSON to stdout
-// instead of a file); sweep-shaped subcommands log their perf telemetry
-// (simulated cycles/second, per-point latency) to stderr.
+// fuzz, sweep and faults install SIGINT/SIGTERM handlers: the first signal
+// cancels at the next case/job/poll boundary, flushes the journal and
+// still writes the --json envelope with "status": "interrupted"; the
+// second restores the default disposition (hard kill).
 //
-// The long-running subcommands (fuzz, sweep, faults) install SIGINT/
-// SIGTERM handlers: the first signal cancels cooperatively — the run
-// stops at the next case/job/poll boundary, flushes its journal and
-// still writes a valid --json envelope with "status": "interrupted" —
-// and the second restores the default disposition (hard kill).
-//
-// Exit codes: 0 success, 1 generic failure (including fuzz
-// disagreements), 2 usage, and for typed vpmem::Error conditions
-// 3 = config_invalid, 4 = fault_plan_invalid, 5 = deadline_exceeded,
-// 6 = livelock (the last two also report a guarded run that stopped
-// early).  7 = interrupted by SIGINT/SIGTERM (partial results were
-// still flushed); 8 = sweep campaign degraded (some jobs failed or
-// were quarantined).  With --json, errors still write a vpmem.cli/1
-// envelope whose "error" member carries {code, message}.
+// Exit codes: 0 success; 1 runtime or I/O failure, or a fuzz
+// disagreement; 2 usage; 3 config_invalid; 4 fault_plan_invalid;
+// 5 deadline_exceeded and 6 livelock (a guarded run stopped early);
+// 7 interrupted by SIGINT/SIGTERM (partial results were flushed); 8 sweep
+// campaign degraded (some point failed or was quarantined).
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <chrono>
@@ -93,6 +32,9 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "vpmem/vpmem.hpp"
@@ -101,37 +43,10 @@ namespace {
 
 using namespace vpmem;
 
-int usage() {
-  std::cerr << "usage:\n"
-               "  vpmem_cli single <m> <nc> <d>\n"
-               "  vpmem_cli pair <m> <nc> <d1> <d2> [--same-cpu] [--sections s]\n"
-               "  vpmem_cli render <m> <nc> <d1> <d2> <b1> <b2> [cycles] [--same-cpu]\n"
-               "           [--sections s] [--cyclic-priority] [--consecutive]\n"
-               "  vpmem_cli report <m> <nc> <d1> [d2 [b1 b2]] [--length n] [--cycles N]\n"
-               "           [--same-cpu] [--sections s] [--cyclic-priority] [--consecutive]\n"
-               "  vpmem_cli triad <n> <inc> [--dedicated]\n"
-               "  vpmem_cli idim <m> <nc> <stride> <arrays> <min_elements>\n"
-               "  vpmem_cli diagnose <m> <nc> <d1> <d2> [--same-cpu] [--sections s]\n"
-               "  vpmem_cli kernel <name> <n> <inc> [--dedicated]\n"
-               "  vpmem_cli fuzz [iterations] [--seed S] [--cycles T] [--fault name]\n"
-               "           [--fault-plans] [--no-shrink] [--replay LINE] [--jobs N]\n"
-               "  vpmem_cli sweep <m> <nc> --d1 A:B --d2 A:B [--jobs N] [--journal f]\n"
-               "           [--resume] [--sandbox] [--retries N] [--out results.json]\n"
-               "           [--same-cpu] [--sections s] [--cyclic-priority]\n"
-               "           [--consecutive] [--test-crash ID]\n"
-               "  vpmem_cli faults <m> <nc> <d1> [d2 [b1 b2]]\n"
-               "           (--plan file.json | --inline SPEC) [--policy stall|remap_spare]\n"
-               "           [--length n] [--cycles N] [--max-cycles N] [--same-cpu]\n"
-               "           [--sections s] [--cyclic-priority] [--consecutive]\n"
-               "  vpmem_cli trace <m> <nc> <d1> [d2 [b1 b2]] [--out trace.json]\n"
-               "           [--length n] [--cycles N] [--window N] [--no-attribution]\n"
-               "           [--same-cpu] [--sections s] [--cyclic-priority] [--consecutive]\n"
-               "options accepted by every subcommand:\n"
-               "  --json <file>   also write a machine-readable JSON record\n"
-               "                  ('-' = stdout); schema: vpmem.run_report/1 for\n"
-               "                  report, vpmem.cli/1 envelopes otherwise\n";
-  return 2;
-}
+/// Bad command line: exit code 2 plus the subcommand's synopsis.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Strict integer argument: all of `text` must be one number in T's range
 /// (decimal; with `hex`, a 0x/0X prefix selects base 16).  Empty input,
@@ -149,6 +64,8 @@ bool parse_number(std::string_view text, T& out, bool hex = false) {
   return !text.empty() && ec == std::errc{} && ptr == last;
 }
 
+/// Everything a command line can set; the command table maps each flag to
+/// one field.  Zero counts and empty strings mean "not given".
 struct Args {
   std::vector<i64> positional;
   std::string word;  // non-numeric positional (kernel name)
@@ -157,124 +74,31 @@ struct Args {
   bool cyclic_priority = false;
   bool consecutive = false;
   i64 sections = 0;  // 0 = same as banks
-  i64 length = 0;    // 0 = infinite streams (report subcommand)
-  i64 cycles = 0;    // 0 = automatic window (report subcommand)
-  std::string json_path;  // empty = no JSON output
-  // trace subcommand:
-  std::string out;           // trace file path (empty = "trace.json")
-  i64 window = 0;            // 0 = attribution default (64)
+  i64 length = 0;    // 0 = infinite streams
+  i64 cycles = 0;    // 0 = automatic window
+  std::string json_path;
+  std::string out;
+  i64 window = 0;  // 0 = attribution default (64)
   bool no_attribution = false;
-  // fuzz subcommand:
   std::uint64_t seed = 0x0ed1a25;  // matches check::FuzzOptions default
-  bool seed_given = false;
-  std::string fault;        // reference-model mutation name
-  std::string replay_line;  // one-line repro to re-execute
+  std::string fault;
+  std::string replay_line;
   bool no_shrink = false;
-  bool fault_plans = false;  // fuzz: attach randomized fault plans
-  // faults subcommand:
-  std::string plan_path;    // --plan: vpmem.fault_plan/1 JSON file
-  std::string plan_inline;  // --inline: compact FaultPlan::parse() spec
-  std::string policy;       // --policy: override the plan's policy
-  i64 max_cycles = 0;       // --max-cycles: watchdog budget (0 = default)
-  // campaign execution (fuzz --jobs; sweep subcommand):
-  int jobs = 1;             // --jobs: worker threads
-  std::string journal;      // --journal: vpmem.journal/1 path
-  bool resume = false;      // --resume: skip jobs the journal settled
-  bool sandbox = false;     // --sandbox: fork-isolate every sweep job
-  i64 retries = 0;          // --retries: max attempts per job (0 = default)
-  std::string test_crash;   // --test-crash: job id to SIGSEGV on purpose
-  std::string d1_range;     // --d1: inclusive "A:B" stride range
-  std::string d2_range;     // --d2: inclusive "A:B" stride range
-  i64 throttle_ms = 0;      // --throttle-ms: pace each sweep job (tests)
+  bool fault_plans = false;
+  std::string plan_path;
+  std::string plan_inline;
+  std::string policy;
+  i64 max_cycles = 0;
+  int jobs = 1;
+  std::string journal;
+  bool resume = false;
+  bool sandbox = false;
+  i64 retries = 0;
+  std::string test_crash;
+  std::string d1_range;
+  std::string d2_range;
+  i64 throttle_ms = 0;
 };
-
-bool parse(int argc, char** argv, Args& args) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--same-cpu") {
-      args.same_cpu = true;
-    } else if (a == "--dedicated") {
-      args.dedicated = true;
-    } else if (a == "--cyclic-priority") {
-      args.cyclic_priority = true;
-    } else if (a == "--consecutive") {
-      args.consecutive = true;
-    } else if (a == "--sections") {
-      if (++i >= argc || !parse_number(argv[i], args.sections)) return false;
-    } else if (a == "--length") {
-      if (++i >= argc || !parse_number(argv[i], args.length)) return false;
-    } else if (a == "--cycles") {
-      if (++i >= argc || !parse_number(argv[i], args.cycles)) return false;
-    } else if (a == "--json") {
-      if (++i >= argc) return false;
-      args.json_path = argv[i];
-    } else if (a == "--out") {
-      if (++i >= argc) return false;
-      args.out = argv[i];
-    } else if (a == "--window") {
-      if (++i >= argc || !parse_number(argv[i], args.window)) return false;
-    } else if (a == "--attribution") {
-      args.no_attribution = false;  // the default; accepted for symmetry
-    } else if (a == "--no-attribution") {
-      args.no_attribution = true;
-    } else if (a == "--seed") {
-      if (++i >= argc || !parse_number(argv[i], args.seed, /*hex=*/true)) return false;
-      args.seed_given = true;
-    } else if (a == "--fault") {
-      if (++i >= argc) return false;
-      args.fault = argv[i];
-    } else if (a == "--replay") {
-      if (++i >= argc) return false;
-      args.replay_line = argv[i];
-    } else if (a == "--no-shrink") {
-      args.no_shrink = true;
-    } else if (a == "--fault-plans") {
-      args.fault_plans = true;
-    } else if (a == "--plan") {
-      if (++i >= argc) return false;
-      args.plan_path = argv[i];
-    } else if (a == "--inline") {
-      if (++i >= argc) return false;
-      args.plan_inline = argv[i];
-    } else if (a == "--policy") {
-      if (++i >= argc) return false;
-      args.policy = argv[i];
-    } else if (a == "--max-cycles") {
-      if (++i >= argc || !parse_number(argv[i], args.max_cycles)) return false;
-    } else if (a == "--jobs") {
-      if (++i >= argc || !parse_number(argv[i], args.jobs)) return false;
-    } else if (a == "--journal") {
-      if (++i >= argc) return false;
-      args.journal = argv[i];
-    } else if (a == "--resume") {
-      args.resume = true;
-    } else if (a == "--sandbox") {
-      args.sandbox = true;
-    } else if (a == "--retries") {
-      if (++i >= argc || !parse_number(argv[i], args.retries)) return false;
-    } else if (a == "--test-crash") {
-      if (++i >= argc) return false;
-      args.test_crash = argv[i];
-    } else if (a == "--d1") {
-      if (++i >= argc) return false;
-      args.d1_range = argv[i];
-    } else if (a == "--d2") {
-      if (++i >= argc) return false;
-      args.d2_range = argv[i];
-    } else if (a == "--throttle-ms") {
-      if (++i >= argc || !parse_number(argv[i], args.throttle_ms)) return false;
-    } else if (!a.empty() && (std::isdigit(static_cast<unsigned char>(a[0])) != 0)) {
-      i64 value = 0;
-      if (!parse_number(a, value)) return false;
-      args.positional.push_back(value);
-    } else if (!a.empty() && a[0] != '-' && args.word.empty()) {
-      args.word = a;
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
 
 sim::MemoryConfig config_from(const Args& args, i64 m, i64 nc) {
   return sim::MemoryConfig{
@@ -342,7 +166,6 @@ Json json_of_triad(const xmp::TriadResult& r, const xmp::TriadSetup& setup, bool
 }
 
 int cmd_single(const Args& args) {
-  if (args.positional.size() != 3) return usage();
   const auto [m, nc, d] = std::tuple{args.positional[0], args.positional[1], args.positional[2]};
   const core::SingleStreamReport r = core::analyze_single(config_from(args, m, nc), d);
   human(args) << "m=" << m << " nc=" << nc << " d=" << d << ": return number "
@@ -366,7 +189,6 @@ int cmd_single(const Args& args) {
 }
 
 int cmd_pair(const Args& args) {
-  if (args.positional.size() != 4) return usage();
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
   const core::PairReport r =
       core::analyze_pair(cfg, args.positional[2], args.positional[3], args.same_cpu);
@@ -408,7 +230,6 @@ int cmd_pair(const Args& args) {
 }
 
 int cmd_render(const Args& args) {
-  if (args.positional.size() < 6) return usage();
   const i64 m = args.positional[0];
   const i64 nc = args.positional[1];
   const i64 cycles = args.positional.size() > 6 ? args.positional[6] : 3 * m;
@@ -446,14 +267,12 @@ std::vector<sim::StreamConfig> report_streams(const Args& args) {
 }
 
 int cmd_report(const Args& args) {
-  if (args.positional.size() != 3 && args.positional.size() != 4 &&
-      args.positional.size() != 6) {
-    return usage();
-  }
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
   const std::vector<sim::StreamConfig> streams = report_streams(args);
   obs::ReportOptions options;
   options.cycles = args.cycles;
+  options.attribution = !args.no_attribution;
+  if (args.window > 0) options.attribution_window = args.window;
   const obs::RunReport report = obs::report_run(cfg, streams, options);
   std::cerr << "report: " << report.kind << ", " << report.perf.cycles_simulated
             << " simulated cycles in " << report.perf.wall_seconds << " s ("
@@ -465,29 +284,7 @@ int cmd_report(const Args& args) {
   return maybe_write_json(args, report.to_json()) ? 0 : 1;
 }
 
-int cmd_triad(const Args& args) {
-  if (args.positional.size() != 2) return usage();
-  xmp::XmpConfig machine;
-  xmp::TriadSetup setup;
-  setup.n = args.positional[0];
-  setup.inc = args.positional[1];
-  const xmp::TriadResult r = xmp::run_triad(machine, setup, !args.dedicated);
-  human(args) << "triad n=" << setup.n << " inc=" << setup.inc
-            << (args.dedicated ? " (dedicated)" : " (contended)") << ": " << r.cycles
-            << " cycles, conflicts bank=" << r.conflicts.bank
-            << " section=" << r.conflicts.section << " simult=" << r.conflicts.simultaneous;
-  if (!args.dedicated) human(args) << ", other CPU b_eff " << cell(r.background_goodput(), 3);
-  human(args) << '\n';
-  if (!args.json_path.empty()) {
-    Json doc = cli_envelope("triad");
-    doc["result"] = json_of_triad(r, setup, args.dedicated);
-    if (!maybe_write_json(args, doc)) return 1;
-  }
-  return 0;
-}
-
 int cmd_diagnose(const Args& args) {
-  if (args.positional.size() != 4) return usage();
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
   obs::SweepTelemetry telemetry;
   const core::RegimeSweep sweep = core::sweep_regimes(cfg, args.positional[2],
@@ -516,39 +313,42 @@ int cmd_diagnose(const Args& args) {
   return 0;
 }
 
-int cmd_kernel(const Args& args) {
-  if (args.positional.size() != 2 || args.word.empty()) return usage();
-  const xmp::KernelSpec* spec = nullptr;
-  for (const auto& k : xmp::all_kernels()) {
-    if (k.name == args.word) spec = &k;
-  }
-  if (spec == nullptr) {
-    std::cerr << "unknown kernel '" << args.word << "'; choose from:";
-    for (const auto& k : xmp::all_kernels()) std::cerr << ' ' << k.name;
-    std::cerr << '\n';
-    return 2;
-  }
-  xmp::XmpConfig machine;
+/// `triad` and `kernel`: one Section IV kernel on the X-MP model, with the
+/// other CPU's stride-1 background traffic unless --dedicated.
+int run_xmp(const Args& args, const std::string& command, const xmp::KernelSpec& spec) {
   xmp::TriadSetup setup;
   setup.n = args.positional[0];
   setup.inc = args.positional[1];
-  const xmp::TriadResult r = xmp::run_kernel(machine, *spec, setup, !args.dedicated);
-  human(args) << spec->name << " n=" << setup.n << " inc=" << setup.inc
-            << (args.dedicated ? " (dedicated)" : " (contended)") << ": " << r.cycles
-            << " cycles, conflicts bank=" << r.conflicts.bank
-            << " section=" << r.conflicts.section << " simult=" << r.conflicts.simultaneous
-            << '\n';
+  const xmp::TriadResult r = xmp::run_kernel(xmp::XmpConfig{}, spec, setup, !args.dedicated);
+  human(args) << spec.name << " n=" << setup.n << " inc=" << setup.inc
+              << (args.dedicated ? " (dedicated)" : " (contended)") << ": " << r.cycles
+              << " cycles, conflicts bank=" << r.conflicts.bank
+              << " section=" << r.conflicts.section << " simult=" << r.conflicts.simultaneous;
+  if (command == "triad" && !args.dedicated) {
+    human(args) << ", other CPU b_eff " << cell(r.background_goodput(), 3);
+  }
+  human(args) << '\n';
   if (!args.json_path.empty()) {
-    Json doc = cli_envelope("kernel");
-    doc["kernel"] = spec->name;
+    Json doc = cli_envelope(command);
+    if (command == "kernel") doc["kernel"] = spec.name;
     doc["result"] = json_of_triad(r, setup, args.dedicated);
     if (!maybe_write_json(args, doc)) return 1;
   }
   return 0;
 }
 
+int cmd_triad(const Args& args) { return run_xmp(args, "triad", xmp::triad_kernel()); }
+
+int cmd_kernel(const Args& args) {
+  std::string names;
+  for (const auto& k : xmp::all_kernels()) {
+    if (k.name == args.word) return run_xmp(args, "kernel", k);
+    names += ' ' + k.name;
+  }
+  throw UsageError{"unknown kernel '" + args.word + "'; choose from:" + names};
+}
+
 int cmd_idim(const Args& args) {
-  if (args.positional.size() != 5) return usage();
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
   const i64 idim = core::recommend_idim(cfg, args.positional[2], args.positional[3],
                                         args.positional[4], args.same_cpu);
@@ -624,7 +424,6 @@ int replay_one(const Args& args) {
 
 int cmd_fuzz(const Args& args) {
   if (!args.replay_line.empty()) return replay_one(args);
-  if (args.positional.size() > 1) return usage();
 
   check::FuzzOptions options;
   options.seed = args.seed;
@@ -743,11 +542,9 @@ std::vector<FaultPhase> fault_phases(const sim::MemoryConfig& cfg,
 }
 
 int cmd_faults(const Args& args) {
-  if (args.positional.size() != 3 && args.positional.size() != 4 &&
-      args.positional.size() != 6) {
-    return usage();
+  if (args.plan_path.empty() && args.plan_inline.empty()) {
+    throw UsageError{"faults needs --plan or --inline"};
   }
-  if (args.plan_path.empty() && args.plan_inline.empty()) return usage();
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
   const std::vector<sim::StreamConfig> streams = report_streams(args);
   const sim::FaultPlan plan = load_plan(args);
@@ -808,15 +605,11 @@ int cmd_faults(const Args& args) {
 }
 
 /// Inclusive "A:B" stride range ("A" alone = the single value A).
-bool parse_range(const std::string& text, i64& lo, i64& hi) {
+bool parse_range(std::string_view text, i64& lo, i64& hi) {
   const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) {
-    if (!parse_number(text, lo)) return false;
-    hi = lo;
-    return true;
-  }
-  const std::string_view view{text};
-  return parse_number(view.substr(0, colon), lo) && parse_number(view.substr(colon + 1), hi) &&
+  const std::string_view head = text.substr(0, colon);
+  return parse_number(head, lo) &&
+         parse_number(colon == std::string_view::npos ? head : text.substr(colon + 1), hi) &&
          lo <= hi;
 }
 
@@ -902,16 +695,11 @@ Json sweep_results_doc(const Args& args, const sim::MemoryConfig& cfg,
 }
 
 int cmd_sweep(const Args& args) {
-  if (args.positional.size() != 2) return usage();
   i64 d1_lo = 0, d1_hi = 0, d2_lo = 0, d2_hi = 0;
   if (!parse_range(args.d1_range, d1_lo, d1_hi) || !parse_range(args.d2_range, d2_lo, d2_hi)) {
-    std::cerr << "sweep: --d1 and --d2 take an inclusive range A:B\n";
-    return usage();
+    throw UsageError{"--d1 and --d2 take an inclusive range A:B"};
   }
-  if (args.resume && args.journal.empty()) {
-    std::cerr << "sweep: --resume needs --journal\n";
-    return usage();
-  }
+  if (args.resume && args.journal.empty()) throw UsageError{"--resume needs --journal"};
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
   const i64 m = args.positional[0];
   const i64 nc = args.positional[1];
@@ -991,10 +779,6 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
-  if (args.positional.size() != 3 && args.positional.size() != 4 &&
-      args.positional.size() != 6) {
-    return usage();
-  }
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
   const std::vector<sim::StreamConfig> streams = report_streams(args);
   const bool infinite = streams.front().length == sim::kInfiniteLength;
@@ -1068,11 +852,176 @@ int cmd_trace(const Args& args) {
   return 0;
 }
 
-}  // namespace
+// ---- The command table -----------------------------------------------------
 
-namespace {
+/// One flag: its name, the Args field it fills (a bool field makes it a
+/// switch, any other field takes one value), the value's name in the
+/// synopsis, for numbers the smallest accepted value, and whether usage()
+/// shows it as mandatory (the handler checks that).
+struct Flag {
+  std::string_view name;
+  std::variant<bool Args::*, int Args::*, i64 Args::*, std::uint64_t Args::*,
+               std::string Args::*>
+      field;
+  std::string_view meta = {};
+  i64 floor = 0;
+  bool required = false;
+};
 
-/// Distinct exit codes for typed failures (documented in usage()).
+/// One subcommand: its positional synopsis, the numeric positional counts
+/// it accepts (plus one word when `word`), every flag it reads, and its
+/// handler.
+struct Command {
+  std::string_view name;
+  std::string_view shape;
+  std::vector<std::size_t> arities;
+  std::vector<Flag> flags;
+  int (*run)(const Args&);
+  bool word = false;
+};
+
+std::vector<Flag> flags(std::initializer_list<std::vector<Flag>> groups) {
+  std::vector<Flag> out;
+  for (const auto& group : groups) out.insert(out.end(), group.begin(), group.end());
+  return out;
+}
+
+// Shared flag groups: the machine parameters config_from() reads, the
+// two-stream CPU assignment, the run window, the conflict attribution and
+// the --json record.
+const std::vector<Flag> kMachine = {{"--sections", &Args::sections, "s"},
+                                    {"--cyclic-priority", &Args::cyclic_priority},
+                                    {"--consecutive", &Args::consecutive}};
+const std::vector<Flag> kSameCpu = {{"--same-cpu", &Args::same_cpu}};
+const std::vector<Flag> kWindow = {{"--length", &Args::length, "n"},
+                                   {"--cycles", &Args::cycles, "N"}};
+const std::vector<Flag> kAttribution = {{"--window", &Args::window, "N"},
+                                        {"--no-attribution", &Args::no_attribution}};
+const std::vector<Flag> kJson = {{"--json", &Args::json_path, "file"}};
+const std::vector<Flag> kDedicated = {{"--dedicated", &Args::dedicated}};
+
+const std::vector<Command> kCommands = {
+    {"single", "<m> <nc> <d>", {3}, flags({kMachine, kJson}), cmd_single},
+    {"pair", "<m> <nc> <d1> <d2>", {4}, flags({kSameCpu, kMachine, kJson}), cmd_pair},
+    {"render", "<m> <nc> <d1> <d2> <b1> <b2> [cycles]", {6, 7},
+     flags({kSameCpu, kMachine, kJson}), cmd_render},
+    {"report", "<m> <nc> <d1> [d2 [b1 b2]]", {3, 4, 6},
+     flags({kWindow, kAttribution, kSameCpu, kMachine, kJson}), cmd_report},
+    {"triad", "<n> <inc>", {2}, flags({kDedicated, kJson}), cmd_triad},
+    {"idim", "<m> <nc> <stride> <arrays> <min_elements>", {5},
+     flags({kSameCpu, kMachine, kJson}), cmd_idim},
+    {"diagnose", "<m> <nc> <d1> <d2>", {4}, flags({kSameCpu, kMachine, kJson}), cmd_diagnose},
+    {"kernel", "<name> <n> <inc>", {2}, flags({kDedicated, kJson}), cmd_kernel, true},
+    {"fuzz", "[iterations]", {0, 1},
+     flags({{{"--seed", &Args::seed, "S"},
+             {"--cycles", &Args::cycles, "T"},
+             {"--fault", &Args::fault, "name"},
+             {"--fault-plans", &Args::fault_plans},
+             {"--no-shrink", &Args::no_shrink},
+             {"--replay", &Args::replay_line, "LINE"},
+             {"--jobs", &Args::jobs, "N", 1}},
+            kJson}),
+     cmd_fuzz},
+    {"sweep", "<m> <nc>", {2},
+     flags({{{.name = "--d1", .field = &Args::d1_range, .meta = "A:B", .required = true},
+             {.name = "--d2", .field = &Args::d2_range, .meta = "A:B", .required = true},
+             {"--jobs", &Args::jobs, "N", 1},
+             {"--journal", &Args::journal, "f"},
+             {"--resume", &Args::resume},
+             {"--sandbox", &Args::sandbox},
+             {"--retries", &Args::retries, "N"},
+             {"--out", &Args::out, "results.json"},
+             {"--test-crash", &Args::test_crash, "ID"},
+             {"--throttle-ms", &Args::throttle_ms, "N"}},
+            kSameCpu, kMachine, kJson}),
+     cmd_sweep},
+    {"faults", "<m> <nc> <d1> [d2 [b1 b2]]", {3, 4, 6},
+     flags({{{"--plan", &Args::plan_path, "file.json"},
+             {"--inline", &Args::plan_inline, "SPEC"},
+             {"--policy", &Args::policy, "stall|remap_spare"},
+             {"--max-cycles", &Args::max_cycles, "N"}},
+            kWindow, kSameCpu, kMachine, kJson}),
+     cmd_faults},
+    {"trace", "<m> <nc> <d1> [d2 [b1 b2]]", {3, 4, 6},
+     flags({{{"--out", &Args::out, "trace.json"}}, kAttribution, kWindow, kSameCpu, kMachine,
+            kJson}),
+     cmd_trace},
+};
+
+/// The synopsis of `only` (every subcommand when null), from the table.
+int usage(const Command* only = nullptr) {
+  std::cerr << "usage:\n";
+  for (const Command& c : kCommands) {
+    if (only != nullptr && only != &c) continue;
+    std::string line = "  vpmem_cli " + std::string{c.name} + ' ' + std::string{c.shape};
+    for (const Flag& f : c.flags) {
+      std::string item{f.name};
+      if (!f.meta.empty()) item += ' ' + std::string{f.meta};
+      if (!f.required) item = '[' + item + ']';
+      if (line.size() + 1 + item.size() > 79) {
+        std::cerr << line << '\n';
+        line = "          ";
+      }
+      line += ' ' + item;
+    }
+    std::cerr << line << '\n';
+  }
+  std::cerr << "--json file also writes a machine-readable record ('-' = stdout): schema\n"
+               "vpmem.run_report/1 for report, vpmem.cli/1 envelopes otherwise\n";
+  return 2;
+}
+
+/// Store `value` into the field `flag` names (a switch ignores it).
+bool assign(const Flag& flag, const char* value, Args& args) {
+  return std::visit(
+      [&](auto field) {
+        auto& slot = args.*field;
+        using T = std::remove_reference_t<decltype(slot)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          slot = true;
+          return true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          slot = value;
+          return true;
+        } else {
+          // The one unsigned field, --seed, also takes 0x hex.
+          return parse_number(value, slot, std::is_unsigned_v<T>) &&
+                 std::cmp_greater_equal(slot, flag.floor);
+        }
+      },
+      flag.field);
+}
+
+/// Fill `args` from argv[2..] by `command`'s entry of the table.
+void parse(const Command& command, int argc, char** argv, Args& args) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string a = argv[i];
+    const auto flag = std::ranges::find(command.flags, std::string_view{a}, &Flag::name);
+    if (flag != command.flags.end()) {
+      const bool value = !std::holds_alternative<bool Args::*>(flag->field);
+      if (value && ++i >= argc) throw UsageError{a + " needs a value"};
+      if (!assign(*flag, value ? argv[i] : nullptr, args)) {
+        throw UsageError{"bad value '" + std::string{argv[i]} + "' for " + a};
+      }
+    } else if (a.starts_with("--")) {
+      throw UsageError{std::string{command.name} + " does not read " + a};
+    } else if (!a.empty() && std::isdigit(static_cast<unsigned char>(a[0])) != 0) {
+      i64 number = 0;
+      if (!parse_number(a, number)) throw UsageError{"bad number '" + a + "'"};
+      args.positional.push_back(number);
+    } else if (command.word && args.word.empty() && !a.empty() && a[0] != '-') {
+      args.word = a;
+    } else {
+      throw UsageError{"unexpected argument '" + a + "'"};
+    }
+  }
+  if (std::ranges::find(command.arities, args.positional.size()) == command.arities.end() ||
+      (command.word && args.word.empty())) {
+    throw UsageError{"wrong number of arguments"};
+  }
+}
+
+/// Distinct exit codes for typed failures (see the header comment).
 int exit_code_of(vpmem::ErrorCode code) {
   switch (code) {
     case vpmem::ErrorCode::config_invalid: return 3;
@@ -1099,22 +1048,19 @@ void write_error_json(const Args& args, const std::string& command, const std::s
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
+  const auto command = std::ranges::find(kCommands, std::string_view{argv[1]}, &Command::name);
+  if (command == kCommands.end()) {
+    std::cerr << "vpmem_cli: unknown subcommand '" << argv[1] << "'\n";
+    return usage();
+  }
+  const std::string cmd{command->name};
   Args args;
-  if (!parse(argc, argv, args)) return usage();
-  const std::string cmd = argv[1];
   try {
-    if (cmd == "single") return cmd_single(args);
-    if (cmd == "pair") return cmd_pair(args);
-    if (cmd == "render") return cmd_render(args);
-    if (cmd == "report") return cmd_report(args);
-    if (cmd == "triad") return cmd_triad(args);
-    if (cmd == "idim") return cmd_idim(args);
-    if (cmd == "diagnose") return cmd_diagnose(args);
-    if (cmd == "kernel") return cmd_kernel(args);
-    if (cmd == "fuzz") return cmd_fuzz(args);
-    if (cmd == "sweep") return cmd_sweep(args);
-    if (cmd == "faults") return cmd_faults(args);
-    if (cmd == "trace") return cmd_trace(args);
+    parse(*command, argc, argv, args);
+    return command->run(args);
+  } catch (const UsageError& e) {
+    std::cerr << "vpmem_cli " << cmd << ": " << e.what() << '\n';
+    return usage(&*command);
   } catch (const vpmem::Error& e) {
     std::cerr << "error (" << to_string(e.code()) << "): " << e.what() << '\n';
     write_error_json(args, cmd, to_string(e.code()), e.what());
@@ -1124,5 +1070,4 @@ int main(int argc, char** argv) {
     write_error_json(args, cmd, "error", e.what());
     return 1;
   }
-  return usage();
 }

@@ -40,7 +40,8 @@ enum class FaultKind {
 
 [[nodiscard]] std::string to_string(FaultKind fault);
 
-/// Inverse of to_string; throws std::invalid_argument on unknown names.
+/// Inverse of to_string; throws vpmem::Error{config_invalid} on unknown
+/// names.
 [[nodiscard]] FaultKind fault_from_string(const std::string& name);
 
 /// The five mutations (everything except `none`), for sweep tests.

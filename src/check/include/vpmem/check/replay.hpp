@@ -24,9 +24,10 @@ inline constexpr const char* kReproSchema = "vpmem.fuzz/1";
 /// fplan=<FaultPlan::encode()>, e.g. fplan=stall;boff@8:b3;bon@40:b3.
 [[nodiscard]] std::string encode_repro(const FuzzCase& fuzz_case);
 
-/// Inverse of encode_repro; throws std::invalid_argument on malformed
-/// input (unknown keys, missing fields, bad schema tag) and
-/// vpmem::Error{fault_plan_invalid} on a malformed fplan token.
+/// Inverse of encode_repro; throws vpmem::Error{config_invalid} on
+/// malformed input (unknown keys, missing fields, bad schema tag, unknown
+/// fault name) and vpmem::Error{fault_plan_invalid} on a malformed fplan
+/// token.
 [[nodiscard]] FuzzCase parse_repro(const std::string& line);
 
 /// Greedy minimization: repeatedly drop streams, then halve the cycle

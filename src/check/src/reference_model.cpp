@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "vpmem/util/error.hpp"
+
 namespace vpmem::check {
 
 namespace {
@@ -26,7 +28,7 @@ FaultKind fault_from_string(const std::string& name) {
                       FaultKind::misclassify_simultaneous, FaultKind::drop_rotation}) {
     if (to_string(f) == name) return f;
   }
-  throw std::invalid_argument{"fault_from_string: unknown fault '" + name + "'"};
+  throw Error{ErrorCode::config_invalid, "fault_from_string: unknown fault '" + name + "'"};
 }
 
 const std::vector<FaultKind>& all_faults() {

@@ -1,7 +1,8 @@
 #include "vpmem/check/replay.hpp"
 
 #include <sstream>
-#include <stdexcept>
+
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::check {
 
@@ -28,15 +29,21 @@ std::string encode_stream(const sim::StreamConfig& s) {
   return os.str();
 }
 
+/// Every malformed repro is a bad run configuration.
+[[noreturn]] void reject(const std::string& message) {
+  throw Error{ErrorCode::config_invalid, "parse_repro: " + message};
+}
+
 i64 parse_i64(const std::string& text, const std::string& what) {
+  std::size_t used = 0;
+  i64 value = 0;
   try {
-    std::size_t used = 0;
-    const i64 value = std::stoll(text, &used);
-    if (used != text.size()) throw std::invalid_argument{"trailing garbage"};
-    return value;
+    value = std::stoll(text, &used);
   } catch (const std::exception&) {
-    throw std::invalid_argument{"parse_repro: bad " + what + " '" + text + "'"};
+    used = 0;
   }
+  if (used == 0 || used != text.size()) reject("bad " + what + " '" + text + "'");
+  return value;
 }
 
 sim::StreamConfig parse_stream(const std::string& body) {
@@ -45,7 +52,7 @@ sim::StreamConfig parse_stream(const std::string& body) {
   std::string field;
   bool have_banks = false;
   while (std::getline(fields, field, ',')) {
-    if (field.empty()) throw std::invalid_argument{"parse_repro: empty stream field"};
+    if (field.empty()) reject("empty stream field");
     const char tag = field[0];
     const std::string value = field.substr(1);
     switch (tag) {
@@ -62,7 +69,7 @@ sim::StreamConfig parse_stream(const std::string& body) {
           s.bank_pattern.push_back(parse_i64(entry, "pattern entry"));
         }
         if (s.bank_pattern.empty()) {
-          throw std::invalid_argument{"parse_repro: empty bank pattern"};
+          reject("empty bank pattern");
         }
         have_banks = true;
         break;
@@ -73,12 +80,11 @@ sim::StreamConfig parse_stream(const std::string& body) {
         break;
       case 't': s.start_cycle = parse_i64(value, "start cycle"); break;
       default:
-        throw std::invalid_argument{std::string{"parse_repro: unknown stream field '"} + tag +
-                                    "'"};
+        reject(std::string{"unknown stream field '"} + tag + "'");
     }
   }
   if (!have_banks) {
-    throw std::invalid_argument{"parse_repro: stream needs b<bank>,d<dist> or p<pattern>"};
+    reject("stream needs b<bank>,d<dist> or p<pattern>");
   }
   return s;
 }
@@ -102,14 +108,13 @@ FuzzCase parse_repro(const std::string& line) {
   std::istringstream tokens{line};
   std::string token;
   if (!(tokens >> token) || token != kReproSchema) {
-    throw std::invalid_argument{std::string{"parse_repro: expected leading '"} + kReproSchema +
-                                "'"};
+    reject(std::string{"expected leading '"} + kReproSchema + "'");
   }
   FuzzCase out;
   while (tokens >> token) {
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos) {
-      throw std::invalid_argument{"parse_repro: token without '=': '" + token + "'"};
+      reject("token without '=': '" + token + "'");
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
@@ -125,7 +130,7 @@ FuzzCase parse_repro(const std::string& line) {
       } else if (value == "consecutive") {
         out.config.mapping = sim::SectionMapping::consecutive;
       } else {
-        throw std::invalid_argument{"parse_repro: unknown mapping '" + value + "'"};
+        reject("unknown mapping '" + value + "'");
       }
     } else if (key == "prio") {
       if (value == "fixed") {
@@ -133,7 +138,7 @@ FuzzCase parse_repro(const std::string& line) {
       } else if (value == "cyclic") {
         out.config.priority = sim::PriorityRule::cyclic;
       } else {
-        throw std::invalid_argument{"parse_repro: unknown priority '" + value + "'"};
+        reject("unknown priority '" + value + "'");
       }
     } else if (key == "cycles") {
       out.cycles = parse_i64(value, "cycle budget");
@@ -144,7 +149,7 @@ FuzzCase parse_repro(const std::string& line) {
     } else if (key == "stream") {
       out.streams.push_back(parse_stream(value));
     } else {
-      throw std::invalid_argument{"parse_repro: unknown key '" + key + "'"};
+      reject("unknown key '" + key + "'");
     }
   }
   out.config.validate();

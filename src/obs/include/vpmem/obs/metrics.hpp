@@ -29,17 +29,6 @@ class Counter {
   i64 value_ = 0;
 };
 
-/// Last-value metric (bank utilization, hottest bank).
-class Gauge {
- public:
-  void set(double value) noexcept { value_ = value; }
-  [[nodiscard]] double value() const noexcept { return value_; }
-  [[nodiscard]] Json to_json() const { return Json{value_}; }
-
- private:
-  double value_ = 0.0;
-};
-
 /// Power-of-two-bucketed histogram over non-negative integer samples
 /// (stall lengths, per-bank grant counts).  Bucket 0 holds the value 0;
 /// bucket b >= 1 holds values in [2^(b-1), 2^b - 1], so short stalls keep
@@ -68,10 +57,6 @@ class Histogram {
   /// Per-bucket sample counts, trimmed after the last non-empty bucket.
   [[nodiscard]] const std::vector<i64>& buckets() const noexcept { return buckets_; }
 
-  /// Smallest value v such that at least `q` (in [0, 1]) of the samples
-  /// are <= v, resolved to bucket upper bounds (0 when empty).
-  [[nodiscard]] i64 quantile_ceil(double q) const;
-
   /// Fold `other`'s samples into this histogram (bucket-wise; min/max/
   /// sum/count combine exactly).  The basis of per-worker wall-time
   /// aggregation in parallel campaigns.
@@ -97,14 +82,13 @@ class Histogram {
 class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   [[nodiscard]] bool contains(std::string_view name) const noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Fold `other` into this registry: counters add, gauges take the
-  /// other's last value, histograms merge sample-exactly.  Used to
+  /// Fold `other` into this registry: counters add, histograms merge
+  /// sample-exactly.  Used to
   /// aggregate per-worker partial results after a parallel campaign —
   /// workers each own a private registry (no locking on the hot path)
   /// and the executor merges once at the end.  Throws
@@ -115,7 +99,7 @@ class MetricsRegistry {
   [[nodiscard]] Json to_json() const;
 
  private:
-  using Metric = std::variant<Counter, Gauge, Histogram>;
+  using Metric = std::variant<Counter, Histogram>;
   template <typename T>
   T& get_or_create(std::string_view name);
 

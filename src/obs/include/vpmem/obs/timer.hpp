@@ -1,12 +1,11 @@
-// Wall-clock instrumentation: a monotonic stopwatch, an RAII scope timer,
-// and a thread-safe telemetry accumulator for parallel sweeps.  These are
-// the "how fast is the simulator itself" half of vpmem::obs — they report
+// Wall-clock instrumentation: a monotonic stopwatch and a thread-safe
+// telemetry accumulator for parallel sweeps.  These are the "how fast is
+// the simulator itself" half of vpmem::obs — they report
 // simulated-cycles-per-second and per-point latency for sweeps without
 // perturbing what the sweeps compute.
 #pragma once
 
 #include <chrono>
-#include <functional>
 #include <mutex>
 #include <string>
 
@@ -29,31 +28,6 @@ class Stopwatch {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// RAII timer: measures the enclosing scope and hands the elapsed seconds
-/// to a sink on destruction.  Typical sinks: a SweepTelemetry, a Gauge,
-/// or a captured double.
-class ScopeTimer {
- public:
-  using Sink = std::function<void(double seconds)>;
-
-  explicit ScopeTimer(Sink sink) : sink_{std::move(sink)} {}
-  ~ScopeTimer() {
-    if (sink_) sink_(watch_.seconds());
-  }
-
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-  ScopeTimer(ScopeTimer&&) = delete;
-  ScopeTimer& operator=(ScopeTimer&&) = delete;
-
-  /// Seconds elapsed so far (the scope is still open).
-  [[nodiscard]] double seconds() const noexcept { return watch_.seconds(); }
-
- private:
-  Stopwatch watch_;
-  Sink sink_;
 };
 
 /// Thread-safe accumulator for a parameter sweep: one record_point() per

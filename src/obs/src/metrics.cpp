@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 namespace vpmem::obs {
@@ -46,20 +45,6 @@ void Histogram::merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-i64 Histogram::quantile_ceil(double q) const {
-  if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  i64 seen = 0;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    seen += buckets_[b];
-    if (static_cast<double>(seen) >= target && seen > 0) {
-      return std::min(bucket_ceil(b), max());
-    }
-  }
-  return max();
-}
-
 Json Histogram::to_json() const {
   Json out = Json::object();
   out["count"] = count_;
@@ -92,7 +77,6 @@ T& MetricsRegistry::get_or_create(std::string_view name) {
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) { return get_or_create<Counter>(name); }
-Gauge& MetricsRegistry::gauge(std::string_view name) { return get_or_create<Gauge>(name); }
 Histogram& MetricsRegistry::histogram(std::string_view name) {
   return get_or_create<Histogram>(name);
 }
@@ -108,8 +92,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [key, metric] : other.entries_) {
     if (const Counter* c = std::get_if<Counter>(metric.get())) {
       counter(key).inc(c->value());
-    } else if (const Gauge* g = std::get_if<Gauge>(metric.get())) {
-      gauge(key).set(g->value());
     } else if (const Histogram* h = std::get_if<Histogram>(metric.get())) {
       histogram(key).merge(*h);
     }

@@ -7,6 +7,7 @@
 #include "vpmem/check/differential.hpp"
 #include "vpmem/check/reference_model.hpp"
 #include "vpmem/sim/memory_system.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem {
 namespace {
@@ -134,8 +135,12 @@ TEST(ReferenceModelFaults, NamesRoundTrip) {
   for (FaultKind f : check::all_faults()) {
     EXPECT_EQ(check::fault_from_string(check::to_string(f)), f);
   }
-  EXPECT_THROW(static_cast<void>(check::fault_from_string("no-such-fault")),
-               std::invalid_argument);
+  try {
+    static_cast<void>(check::fault_from_string("no-such-fault"));
+    FAIL() << "expected vpmem::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::config_invalid);
+  }
 }
 
 }  // namespace

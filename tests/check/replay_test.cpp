@@ -67,8 +67,18 @@ TEST(Replay, EncodingIsHumanReadable) {
 }
 
 TEST(Replay, ParseRejectsMalformedLines) {
-  const auto reject = [](const std::string& line) {
-    EXPECT_THROW(static_cast<void>(check::parse_repro(line)), std::invalid_argument) << line;
+  // Every rejection is a typed vpmem::Error: malformed syntax and invalid
+  // configs are config_invalid, a bad fplan token is fault_plan_invalid.
+  const auto reject_typed = [](const std::string& line, vpmem::ErrorCode code) {
+    try {
+      static_cast<void>(check::parse_repro(line));
+      FAIL() << "expected vpmem::Error for: " << line;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), code) << line;
+    }
+  };
+  const auto reject = [&](const std::string& line) {
+    reject_typed(line, ErrorCode::config_invalid);
   };
   reject("");
   reject("not-the-schema m=4 s=4 nc=1");
@@ -81,18 +91,8 @@ TEST(Replay, ParseRejectsMalformedLines) {
   reject("vpmem.fuzz/1 m=4 s=4 nc=1 stream=c0,linf,t0");        // no banks
   reject("vpmem.fuzz/1 m=4 s=4 nc=1 stream=b0,d1,q9");          // unknown field
   reject("vpmem.fuzz/1 m=4 s=4 nc=1 stream=p,c0");              // empty pattern
-  // Well-formed lines with semantically invalid content fail config or
-  // plan validation and surface as typed vpmem::Error instead.
-  const auto reject_typed = [](const std::string& line, vpmem::ErrorCode code) {
-    try {
-      static_cast<void>(check::parse_repro(line));
-      FAIL() << "expected vpmem::Error for: " << line;
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), code) << line;
-    }
-  };
-  reject_typed("vpmem.fuzz/1 m=4 s=3 nc=1 stream=b0,d1", ErrorCode::config_invalid);
-  reject_typed("vpmem.fuzz/1 m=4 s=4 nc=1 stream=b7,d1", ErrorCode::config_invalid);
+  reject("vpmem.fuzz/1 m=4 s=3 nc=1 stream=b0,d1");             // s does not divide m
+  reject("vpmem.fuzz/1 m=4 s=4 nc=1 stream=b7,d1");             // bank out of range
   reject_typed("vpmem.fuzz/1 m=4 s=4 nc=1 stream=b0,d1 fplan=nonsense",
                ErrorCode::fault_plan_invalid);
   reject_typed("vpmem.fuzz/1 m=4 s=4 nc=1 stream=b0,d1 fplan=stall;boff@0:b9",

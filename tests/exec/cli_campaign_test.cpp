@@ -2,79 +2,32 @@
 // VPMEM_CLI_PATH): a journaled 500-point sweep is SIGKILLed mid-flight
 // and resumed to byte-identical results, a sandboxed campaign quarantines
 // a deliberately crashing point while every other point completes, and
-// SIGINT drains into a valid "interrupted" envelope with exit code 7, and
-// malformed numeric arguments are usage errors (exit code 2).
+// SIGINT drains into a valid "interrupted" envelope with exit code 7.
 // This file forks and execs, so it carries the "fork" ctest label and is
 // excluded from the ThreadSanitizer pass.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_process.hpp"
 #include "vpmem/util/json.hpp"
 
 namespace vpmem {
 namespace {
 
+using cli_test::run_cli;
+using cli_test::slurp;
+using cli_test::spawn_cli;
+using cli_test::TempDir;
 namespace fs = std::filesystem;
-
-/// Scratch directory for one test, removed on destruction.
-class TempDir {
- public:
-  explicit TempDir(const std::string& name)
-      : path_{fs::temp_directory_path() /
-              ("vpmem_cli_campaign_" + name + "_" + std::to_string(::getpid()))} {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  [[nodiscard]] std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  fs::path path_;
-};
-
-/// Fork/exec vpmem_cli with stdout/stderr routed to /dev/null.  Returns
-/// the child pid; the caller waits (or kills) as the test demands.
-pid_t spawn_cli(const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int devnull = ::open("/dev/null", O_WRONLY);
-  if (devnull >= 0) {
-    ::dup2(devnull, STDOUT_FILENO);
-    ::dup2(devnull, STDERR_FILENO);
-    ::close(devnull);
-  }
-  std::vector<char*> argv;
-  static const std::string cli = VPMEM_CLI_PATH;
-  argv.push_back(const_cast<char*>(cli.c_str()));
-  for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-  argv.push_back(nullptr);
-  ::execv(cli.c_str(), argv.data());
-  ::_exit(127);
-}
-
-/// Run to completion; returns the exit code (-signal if killed).
-int run_cli(const std::vector<std::string>& args) {
-  const pid_t pid = spawn_cli(args);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return -WTERMSIG(status);
-  return -1;
-}
 
 std::size_t journal_lines(const std::string& path) {
   std::ifstream in{path};
@@ -82,13 +35,6 @@ std::size_t journal_lines(const std::string& path) {
   std::string line;
   while (std::getline(in, line)) ++n;
   return n;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in{path};
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 /// Wait until the journal reaches `lines` records; false on timeout.
@@ -194,33 +140,6 @@ TEST(CliCampaign, SigintDrainsIntoAValidInterruptedEnvelope) {
   EXPECT_EQ(doc.at("schema").as_string(), "vpmem.cli/1");
   EXPECT_EQ(doc.at("status").as_string(), "interrupted");
   EXPECT_EQ(doc.at("campaign").at("status").as_string(), "partial");
-}
-
-TEST(CliCampaign, MalformedNumbersAreUsageErrors) {
-  // Every numeric argument is parsed strictly: empty input, trailing
-  // text and overflow exit 2 instead of silently becoming 0 or a prefix.
-  const std::vector<std::vector<std::string>> bad = {
-      {"fuzz", "5", "--jobs", "abc"},
-      {"fuzz", "5", "--jobs", ""},
-      {"report", "13", "6", "1", "6", "--cycles", "12x"},
-      {"fuzz", "5", "--seed", "18446744073709551616"},  // 2^64
-      {"fuzz", "5", "--seed", "0x10000000000000000"},
-      {"fuzz", "5", "--seed", "0x"},
-      {"sweep", "16", "4", "--d1", "3:x", "--d2", "1:2"},
-      {"sweep", "16", "4", "--d1", "3:", "--d2", "1:2"},
-      {"pair", "12x", "3", "1", "7"},
-      {"pair", "99999999999999999999", "3", "1", "7"},
-  };
-  for (const auto& args : bad) {
-    std::string line;
-    for (const auto& a : args) line += " '" + a + "'";
-    EXPECT_EQ(run_cli(args), 2) << line;
-  }
-  // Well-formed values still run: decimal and 0x-prefixed hex seeds
-  // (CI passes hex), and a single-value stride range.
-  EXPECT_EQ(run_cli({"fuzz", "5", "--seed", "0x2a", "--jobs", "1"}), 0);
-  EXPECT_EQ(run_cli({"fuzz", "5", "--seed", "42"}), 0);
-  EXPECT_EQ(run_cli({"sweep", "16", "4", "--d1", "3", "--d2", "1:2"}), 0);
 }
 
 }  // namespace

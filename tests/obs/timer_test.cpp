@@ -19,15 +19,6 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   EXPECT_GE(watch.seconds(), first);  // monotone
 }
 
-TEST(ScopeTimer, ReportsOnDestruction) {
-  double reported = -1.0;
-  {
-    const ScopeTimer timer{[&](double s) { reported = s; }};
-    EXPECT_EQ(reported, -1.0);  // nothing until scope exit
-  }
-  EXPECT_GE(reported, 0.0);
-}
-
 TEST(SweepTelemetry, Accumulates) {
   SweepTelemetry telemetry;
   telemetry.record_point(0.5, 100);

@@ -18,11 +18,14 @@
 # integration layer; the X-MP and triad-experiment tests, which drive the
 # engine's live-port list and the kernel driver's strip cursor; and the
 # util JSON and journal tests, which cover the single-buffer JSON writer
-# and its stream flushes.
+# and its stream flushes; and the CLI argv contract (exec_cli_args_test),
+# which drives a sanitized vpmem_cli through every subcommand's parser.
+# exec_cli_campaign_test stays out: its 4-worker sandbox case hangs in a
+# forked child under ASan.
 #
 # The TSan pass rebuilds into build-tsan/ with -fsanitize=thread
 # (VPMEM_SANITIZE_THREAD=ON) and runs `ctest -LE fork`: everything except
-# the two fork-labelled suites (the sandbox plumbing and the CLI campaign
+# the fork-labelled suites (the sandbox plumbing and the two CLI
 # end-to-end tests — TSan's interceptors do not survive fork()).  The
 # executor, worker pool, journal writer, sharded fuzzer, and metrics
 # merging all get their race coverage here via the in-process suites.
@@ -65,7 +68,7 @@ if [[ "$mode" == "--fast" ]]; then
   exit 0
 fi
 
-echo "== sanitizer pass: ASan + UBSan on sim/obs/check tests =="
+echo "== sanitizer pass: ASan + UBSan on sim/obs/check tests and the CLI argv contract =="
 cmake -B build-asan -S . -DVPMEM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs" --target \
   sim_config_test sim_memory_system_test sim_steady_state_test sim_run_test \
@@ -76,9 +79,9 @@ cmake --build build-asan -j "$jobs" --target \
   check_fault_plan_fuzz_test check_invariants_test \
   trace_timeline_test integration_cross_validation_test \
   xmp_machine_test xmp_kernels_test xmp_multitask_test core_triad_experiment_test \
-  util_json_test util_journal_test
+  util_json_test util_journal_test exec_cli_args_test
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -R \
-  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_invariants|trace_timeline|integration_cross_validation|xmp_machine|xmp_kernels|xmp_multitask|core_triad_experiment|util_json|util_journal)'
+  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_invariants|trace_timeline|integration_cross_validation|xmp_machine|xmp_kernels|xmp_multitask|core_triad_experiment|util_json|util_journal|exec_cli_args)'
 
 echo "== sanitizer pass: TSan on everything but the fork-labelled suites =="
 cmake -B build-tsan -S . -DVPMEM_SANITIZE_THREAD=ON >/dev/null
