@@ -857,7 +857,11 @@ int cmd_trace(const Args& args) {
 /// One flag: its name, the Args field it fills (a bool field makes it a
 /// switch, any other field takes one value), the value's name in the
 /// synopsis, for numbers the smallest accepted value, and whether usage()
-/// shows it as mandatory (the handler checks that).
+/// shows it as mandatory (the handler checks that).  `min_positionals`
+/// and `alone` say when the command reads it: only with at least that
+/// many positional arguments (--same-cpu needs a second stream), and, when
+/// alone, only with no positional argument and no flag but --json (a fuzz
+/// replay runs one recorded case).
 struct Flag {
   std::string_view name;
   std::variant<bool Args::*, int Args::*, i64 Args::*, std::uint64_t Args::*,
@@ -866,6 +870,8 @@ struct Flag {
   std::string_view meta = {};
   i64 floor = 0;
   bool required = false;
+  std::size_t min_positionals = 0;
+  bool alone = false;
 };
 
 /// One subcommand: its positional synopsis, the numeric positional counts
@@ -893,6 +899,9 @@ const std::vector<Flag> kMachine = {{"--sections", &Args::sections, "s"},
                                     {"--cyclic-priority", &Args::cyclic_priority},
                                     {"--consecutive", &Args::consecutive}};
 const std::vector<Flag> kSameCpu = {{"--same-cpu", &Args::same_cpu}};
+/// --same-cpu where the positional shape may name one stream or two.
+const std::vector<Flag> kSecondStreamCpu = {
+    {.name = "--same-cpu", .field = &Args::same_cpu, .min_positionals = 4}};
 const std::vector<Flag> kWindow = {{"--length", &Args::length, "n"},
                                    {"--cycles", &Args::cycles, "N"}};
 const std::vector<Flag> kAttribution = {{"--window", &Args::window, "N"},
@@ -906,7 +915,7 @@ const std::vector<Command> kCommands = {
     {"render", "<m> <nc> <d1> <d2> <b1> <b2> [cycles]", {6, 7},
      flags({kSameCpu, kMachine, kJson}), cmd_render},
     {"report", "<m> <nc> <d1> [d2 [b1 b2]]", {3, 4, 6},
-     flags({kWindow, kAttribution, kSameCpu, kMachine, kJson}), cmd_report},
+     flags({kWindow, kAttribution, kSecondStreamCpu, kMachine, kJson}), cmd_report},
     {"triad", "<n> <inc>", {2}, flags({kDedicated, kJson}), cmd_triad},
     {"idim", "<m> <nc> <stride> <arrays> <min_elements>", {5},
      flags({kSameCpu, kMachine, kJson}), cmd_idim},
@@ -918,7 +927,7 @@ const std::vector<Command> kCommands = {
              {"--fault", &Args::fault, "name"},
              {"--fault-plans", &Args::fault_plans},
              {"--no-shrink", &Args::no_shrink},
-             {"--replay", &Args::replay_line, "LINE"},
+             {.name = "--replay", .field = &Args::replay_line, .meta = "LINE", .alone = true},
              {"--jobs", &Args::jobs, "N", 1}},
             kJson}),
      cmd_fuzz},
@@ -940,11 +949,11 @@ const std::vector<Command> kCommands = {
              {"--inline", &Args::plan_inline, "SPEC"},
              {"--policy", &Args::policy, "stall|remap_spare"},
              {"--max-cycles", &Args::max_cycles, "N"}},
-            kWindow, kSameCpu, kMachine, kJson}),
+            kWindow, kSecondStreamCpu, kMachine, kJson}),
      cmd_faults},
     {"trace", "<m> <nc> <d1> [d2 [b1 b2]]", {3, 4, 6},
-     flags({{{"--out", &Args::out, "trace.json"}}, kAttribution, kWindow, kSameCpu, kMachine,
-            kJson}),
+     flags({{{"--out", &Args::out, "trace.json"}}, kAttribution, kWindow, kSecondStreamCpu,
+            kMachine, kJson}),
      cmd_trace},
 };
 
@@ -994,10 +1003,12 @@ bool assign(const Flag& flag, const char* value, Args& args) {
 
 /// Fill `args` from argv[2..] by `command`'s entry of the table.
 void parse(const Command& command, int argc, char** argv, Args& args) {
+  std::vector<const Flag*> given;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     const auto flag = std::ranges::find(command.flags, std::string_view{a}, &Flag::name);
     if (flag != command.flags.end()) {
+      given.push_back(&*flag);
       const bool value = !std::holds_alternative<bool Args::*>(flag->field);
       if (value && ++i >= argc) throw UsageError{a + " needs a value"};
       if (!assign(*flag, value ? argv[i] : nullptr, args)) {
@@ -1018,6 +1029,17 @@ void parse(const Command& command, int argc, char** argv, Args& args) {
   if (std::ranges::find(command.arities, args.positional.size()) == command.arities.end() ||
       (command.word && args.word.empty())) {
     throw UsageError{"wrong number of arguments"};
+  }
+  for (const Flag* flag : given) {
+    const std::string name{flag->name};
+    if (args.positional.size() < flag->min_positionals) {
+      throw UsageError{std::string{command.name} + " reads " + name + " only with " +
+                       std::to_string(flag->min_positionals) + " or more positional arguments"};
+    }
+    const auto other = [&](const Flag* f) { return f != flag && f->name != "--json"; };
+    if (flag->alone && (!args.positional.empty() || std::ranges::any_of(given, other))) {
+      throw UsageError{name + " takes no other argument but --json"};
+    }
   }
 }
 

@@ -51,7 +51,7 @@ struct MemoryConfig {
   SectionMapping mapping = SectionMapping::cyclic;
   PriorityRule priority = PriorityRule::fixed;
 
-  /// Throws std::invalid_argument on an inconsistent configuration.
+  /// Throws vpmem::Error{config_invalid} on an inconsistent configuration.
   void validate() const;
 
   /// Section k of bank j under the configured mapping.
@@ -90,7 +90,7 @@ struct StreamConfig {
     return mod_norm(start_bank + k * distance, banks);
   }
 
-  /// Throws std::invalid_argument if inconsistent with `cfg`.
+  /// Throws vpmem::Error{config_invalid} if inconsistent with `cfg`.
   void validate(const MemoryConfig& cfg) const;
 };
 

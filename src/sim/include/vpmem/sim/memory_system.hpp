@@ -80,9 +80,9 @@ class MemorySystem {
   /// identically.  Sinks are not restored.
   explicit MemorySystem(const SystemState& state);
 
-  /// Append a port mid-run.  `start_cycle` must be >= now().  Under fixed
-  /// priority the new port ranks below all existing ones.  Returns its
-  /// port index.
+  /// Append a port mid-run.  `start_cycle` must be >= now(), else
+  /// vpmem::Error{config_invalid} is thrown.  Under fixed priority the new
+  /// port ranks below all existing ones.  Returns its port index.
   std::size_t add_stream(const StreamConfig& stream);
 
   /// Advance the clock by one period.

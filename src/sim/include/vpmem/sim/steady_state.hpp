@@ -3,12 +3,17 @@
 // Section III assumes infinitely long streams: "the possible memory states
 // are finite, and some cyclic state will be reached.  Neglecting startup
 // times, we compute the effective bandwidth for the cyclic state."  This
-// module detects that cyclic state exactly with Brent's cycle-finding
-// algorithm over MemorySystem::same_state(), and reports b_eff as an exact
-// rational (grants per period over the detected cycle).  Detection keeps
-// three MemorySystem objects (the initial state and two cursors), so its
-// memory is O(m + p) whatever the transient and period; it steps about
-// 2-4x mu + lambda clock periods.
+// module detects that cyclic state exactly and reports b_eff as an exact
+// rational (grants per period over the detected cycle).  One walker steps
+// from t = 0 and keeps a 64-bit fingerprint of each state's
+// MemorySystem::same_state() fields, updated in O(p) per step, in a table:
+// every state before t = 2^15, then only those at t = 2^15 * 2^j.  A
+// fingerprint hit is confirmed with same_state() on a second system
+// stepped to the earlier time, so the walk stops at the first repeated
+// state, t = mu + lambda, and detection steps about mu + lambda + mu clock
+// periods.  When mu >= 2^15 a hit only brackets mu between two kept times
+// and a lockstep walk pins it.  Memory is O(m + p) plus a table capped
+// near 384 KiB per thread, whatever the transient and period.
 #pragma once
 
 #include <vector>
@@ -25,8 +30,8 @@ struct SteadyState {
   std::vector<Rational> per_port;      ///< per-port share of b_eff
   i64 transient_cycles = 0;            ///< periods before the cyclic state is entered
   i64 period = 0;                      ///< length of the cyclic state
-  /// mu + lambda: the clock periods up to the first repeated state.  This
-  /// is not the number of periods detection steps (about 2-4x larger).
+  /// mu + lambda: the clock periods up to the first repeated state.
+  /// Detection steps about mu more than this (mu + lambda + mu).
   i64 cycles_simulated = 0;
   double wall_seconds = 0.0;           ///< wall-clock cost of the detection
   /// Detection throughput (cycles_simulated per wall-clock second); 0
@@ -49,7 +54,7 @@ struct SteadyState {
 
 /// Detect the cyclic state for a set of *infinite* streams: the minimal
 /// transient mu and period lambda with state(mu) == state(mu + lambda).
-/// Throws std::invalid_argument if any stream is finite and
+/// Throws vpmem::Error{config_invalid} if any stream is finite and
 /// std::runtime_error exactly when mu + lambda > `max_cycles` (for valid
 /// fault-free configurations a cycle always exists; the bound is a
 /// defensive cap).

@@ -156,7 +156,7 @@ i64 MemorySystem::effective_bank(const PortState& port) const {
 std::size_t MemorySystem::add_stream(const StreamConfig& stream) {
   stream.validate(config_);
   if (stream.start_cycle < now_) {
-    throw std::invalid_argument{"add_stream: start_cycle must not lie in the past"};
+    throw Error{ErrorCode::config_invalid, "add_stream: start_cycle must not lie in the past"};
   }
   max_cpu_ = std::max(max_cpu_, stream.cpu);
   path_claim_.assign(static_cast<std::size_t>((max_cpu_ + 1) * config_.sections), kFree);

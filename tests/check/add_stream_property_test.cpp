@@ -7,6 +7,7 @@
 
 #include "vpmem/baseline/rng.hpp"
 #include "vpmem/sim/memory_system.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem {
 namespace {
@@ -87,10 +88,13 @@ TEST(AddStreamProperty, RejectsStartCycleInThePast) {
   sim::MemorySystem mem{sim::MemoryConfig{.banks = 8, .sections = 8, .bank_cycle = 2},
                         {sim::StreamConfig{.start_bank = 0, .distance = 1}}};
   mem.run(20, /*stop_when_finished=*/false);
-  EXPECT_THROW(static_cast<void>(
-                   mem.add_stream(sim::StreamConfig{.start_bank = 1, .distance = 1,
-                                                    .start_cycle = 5})),
-               std::invalid_argument);
+  try {
+    static_cast<void>(
+        mem.add_stream(sim::StreamConfig{.start_bank = 1, .distance = 1, .start_cycle = 5}));
+    FAIL() << "start_cycle in the past accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::config_invalid);
+  }
 }
 
 }  // namespace

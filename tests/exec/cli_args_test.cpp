@@ -56,6 +56,29 @@ TEST(CliArgs, EverySubcommandRejectsAFlagItDoesNotRead) {
   }
 }
 
+TEST(CliArgs, FlagsUnreadForThePositionalShapeAreUsageErrors) {
+  // A replay runs one recorded case, so it reads nothing but --json; a
+  // single stream has no second stream to put on the same CPU.
+  const std::string repro =
+      "vpmem.fuzz/1 m=12 s=12 nc=5 map=cyclic prio=fixed cycles=224 fault=none "
+      "stream=b2,d3,c0,linf,t0 stream=b4,d1,c1,linf,t0";
+  TempDir dir{"shape"};
+  EXPECT_EQ(run_cli({"fuzz", "--replay", repro, "--json", dir.file("r.json")}), 0);
+  const std::vector<Argv> bad = {
+      {"fuzz", "5", "--replay", repro, "--seed", "9", "--jobs", "4", "--fault-plans"},
+      {"fuzz", "5", "--replay", repro},
+      {"fuzz", "--replay", repro, "--seed", "9"},
+      {"fuzz", "--jobs", "2", "--replay", repro},
+      {"fuzz", "--replay", repro, "--no-shrink"},
+      {"report", "13", "6", "1", "--same-cpu"},
+      {"trace", "13", "6", "1", "--same-cpu", "--out", dir.file("t.json")},
+      {"faults", "12", "3", "1", "--same-cpu", "--inline", "stall", "--length", "20"},
+  };
+  for (const auto& args : bad) EXPECT_EQ(run_cli(args), 2) << quoted(args);
+  EXPECT_EQ(run_cli({"report", "13", "6", "1", "6", "--same-cpu"}), 0);
+  EXPECT_EQ(run_cli({"faults", "12", "3", "1", "--inline", "stall", "--length", "20"}), 0);
+}
+
 TEST(CliArgs, UnknownSubcommandsAndWrongAritiesAreUsageErrors) {
   const std::vector<Argv> bad = {
       {},

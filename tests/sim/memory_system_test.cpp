@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "vpmem/check/reference_model.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::sim {
 namespace {
@@ -188,9 +189,13 @@ TEST(MemorySystem, AddStreamMidRun) {
 TEST(MemorySystem, AddStreamRejectsPastStart) {
   MemorySystem mem{flat(8, 2), {StreamConfig{.length = 1}}};
   mem.run(3, /*stop_when_finished=*/false);
-  EXPECT_THROW(static_cast<void>(
-      mem.add_stream(StreamConfig{.start_bank = 1, .length = 1, .start_cycle = 1})),
-      std::invalid_argument);
+  try {
+    static_cast<void>(mem.add_stream(StreamConfig{.start_bank = 1, .length = 1, .start_cycle = 1}));
+    FAIL() << "start_cycle in the past accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::config_invalid);
+    EXPECT_STREQ(e.what(), "add_stream: start_cycle must not lie in the past");
+  }
 }
 
 TEST(MemorySystem, CyclicPriorityRotates) {
