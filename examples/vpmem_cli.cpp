@@ -101,13 +101,15 @@ struct Args {
 };
 
 sim::MemoryConfig config_from(const Args& args, i64 m, i64 nc) {
-  return sim::MemoryConfig{
+  const sim::MemoryConfig config{
       .banks = m,
       .sections = args.sections > 0 ? args.sections : m,
       .bank_cycle = nc,
       .mapping = args.consecutive ? sim::SectionMapping::consecutive
                                   : sim::SectionMapping::cyclic,
       .priority = args.cyclic_priority ? sim::PriorityRule::cyclic : sim::PriorityRule::fixed};
+  config.validate();
+  return config;
 }
 
 /// Human-readable output stream.  With `--json -` the JSON document owns
@@ -801,9 +803,8 @@ int cmd_trace(const Args& args) {
   } else {
     mem.run(1'000'000, /*stop_when_finished=*/true);
     if (!mem.finished()) {
-      std::cerr << "error: finite workload did not finish within 1000000 cycles; "
-                   "pass --cycles\n";
-      return 1;
+      throw Error{ErrorCode::deadline_exceeded,
+                  "trace: finite workload did not finish within 1000000 cycles; pass --cycles"};
     }
   }
   tracer.finish();

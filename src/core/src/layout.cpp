@@ -1,15 +1,16 @@
 #include "vpmem/core/layout.hpp"
 
-#include <stdexcept>
-
 #include "vpmem/core/group.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::core {
 
 SpacingReport sweep_array_spacing(const sim::MemoryConfig& config, i64 distance, i64 arrays,
                                   bool same_cpu) {
   config.validate();
-  if (arrays < 1) throw std::invalid_argument{"sweep_array_spacing: arrays must be >= 1"};
+  if (arrays < 1) {
+    throw Error{ErrorCode::config_invalid, "sweep_array_spacing: arrays must be >= 1"};
+  }
   SpacingReport report;
   report.by_spacing.reserve(static_cast<std::size_t>(config.banks));
   for (i64 spacing = 0; spacing < config.banks; ++spacing) {
@@ -30,7 +31,9 @@ SpacingReport sweep_array_spacing(const sim::MemoryConfig& config, i64 distance,
 
 i64 recommend_idim(const sim::MemoryConfig& config, i64 distance, i64 arrays, i64 min_elements,
                    bool same_cpu) {
-  if (min_elements < 1) throw std::invalid_argument{"recommend_idim: min_elements must be >= 1"};
+  if (min_elements < 1) {
+    throw Error{ErrorCode::config_invalid, "recommend_idim: min_elements must be >= 1"};
+  }
   const SpacingReport report = sweep_array_spacing(config, distance, arrays, same_cpu);
   const i64 m = config.banks;
   // Smallest idim >= min_elements with idim mod m == best_spacing.

@@ -33,11 +33,13 @@ namespace vpmem::obs {
 inline constexpr const char* kAttributionSchema = "vpmem.attribution/1";
 
 /// One detected barrier episode: a maximal run of delayed periods of one
-/// stream in which consecutive stalls are separated by at most the merge
-/// gap.  In a paper barrier-situation (Fig. 3, Theorems 4/6/7) the
-/// delayed stream re-enters the barrier every return, so the whole
-/// steady-state loss pattern folds into a single episode whose onset is
-/// the first contended period.
+/// stream in which consecutive stalls are separated by at most the bank
+/// cycle time nc (one service period: merges the recurring stalls of a
+/// barrier-situation, splits unrelated transients).  In a paper
+/// barrier-situation (Fig. 3, Theorems 4/6/7) the delayed stream
+/// re-enters the barrier every return, so the whole steady-state loss
+/// pattern folds into a single episode whose onset is the first contended
+/// period.
 struct BarrierEpisode {
   std::size_t port = 0;        ///< the delayed stream
   i64 onset = 0;               ///< first delayed clock period
@@ -63,14 +65,6 @@ struct BandwidthSample {
 struct AttributionOptions {
   /// Width of the b_eff(t) window in clock periods.
   i64 window = 64;
-  /// Two stalls of one stream separated by more than this many periods
-  /// start a new episode; <= 0 means the bank cycle time nc (one service
-  /// period — merges the recurring stalls of a barrier-situation, splits
-  /// unrelated transients).
-  i64 episode_gap = 0;
-  /// Safety cap on recorded episodes; further ones are counted but not
-  /// stored (episodes_truncated() reports how many).
-  std::size_t max_episodes = 4096;
 };
 
 /// Online event-stream analyzer.  Attach it to a run as a sink
@@ -79,6 +73,10 @@ struct AttributionOptions {
 /// observation window closes.
 class ConflictAttribution final : public sim::EventSink {
  public:
+  /// Safety cap on recorded episodes; further ones are counted but not
+  /// stored (episodes_truncated() reports how many).
+  static constexpr std::size_t kMaxEpisodes = 4096;
+
   explicit ConflictAttribution(const sim::MemoryConfig& config, AttributionOptions options = {});
 
   /// Fold one event.  Events must arrive in non-decreasing cycle order.
@@ -137,7 +135,7 @@ class ConflictAttribution final : public sim::EventSink {
 
   /// Detected episodes, in onset order (valid after finalize()).
   [[nodiscard]] const std::vector<BarrierEpisode>& episodes() const noexcept { return episodes_; }
-  /// Episodes dropped by the max_episodes cap.
+  /// Episodes dropped by the kMaxEpisodes cap.
   [[nodiscard]] i64 episodes_truncated() const noexcept { return episodes_truncated_; }
 
   /// The b_eff(t) series (valid after finalize()).
@@ -212,8 +210,10 @@ class ConflictAttribution final : public sim::EventSink {
     ++fold.by_bank_kind[bank * sim::kConflictKinds + kind];
     if (e.blocker >= fold.by_blocker.size()) fold.by_blocker.resize(e.blocker + 1, 0);
     ++fold.by_blocker[e.blocker];
-    // Episode tracking: merge stalls separated by at most gap_ periods.
-    if (!fold.episode_open || e.cycle - fold.open.last > gap_) open_episode(fold, e);
+    // Episode tracking: merge stalls separated by at most nc periods.
+    if (!fold.episode_open || e.cycle - fold.open.last > config_.bank_cycle) {
+      open_episode(fold, e);
+    }
     fold.open.last = e.cycle;
     ++fold.open.lost_cycles;
     ++fold.open_kinds[kind];  // indexed, not switched: the mix is unpredictable
@@ -230,7 +230,6 @@ class ConflictAttribution final : public sim::EventSink {
 
   sim::MemoryConfig config_;
   AttributionOptions options_;
-  i64 gap_;
   std::vector<PortFold> ports_;
   std::vector<BarrierEpisode> episodes_;
   std::vector<BandwidthSample> series_;  ///< built by finalize()

@@ -3,7 +3,7 @@
 //
 // A Tracer attaches to a MemorySystem as a typed sim::EventSink and does
 // two things per event, both O(1): push a 32-byte packed record
-// into a shared sim::EventBuffer (chunked ring — memory stays bounded on
+// into its own sim::EventBuffer (chunked ring — memory stays bounded on
 // arbitrarily long runs) and fold the event into a ConflictAttribution
 // (exact per-(stream, bank, kind) lost-cycle matrices that never lose
 // precision to buffer eviction).
@@ -37,8 +37,6 @@ struct TracerOptions {
   bool attribution = true;
   /// b_eff(t) window width for the attribution fold.
   i64 window = 64;
-  /// Episode merge gap (see AttributionOptions); <= 0 means nc.
-  i64 episode_gap = 0;
 };
 
 /// Lifecycle: construct before running (attaches itself as a sink), step
@@ -60,12 +58,7 @@ class Tracer : private sim::EventSink {
   /// Idempotent; no further events are recorded afterwards.
   void finish();
 
-  [[nodiscard]] const sim::EventBuffer& buffer() const noexcept { return *buffer_; }
-  /// Share the buffer with another reader (e.g. trace::Timeline renders
-  /// the paper's clock diagram from the same recording).
-  [[nodiscard]] std::shared_ptr<sim::EventBuffer> share_buffer() const noexcept {
-    return buffer_;
-  }
+  [[nodiscard]] const sim::EventBuffer& buffer() const noexcept { return buffer_; }
 
   /// The attribution fold, or nullptr when options.attribution is false.
   /// Finalized only after finish().
@@ -89,7 +82,7 @@ class Tracer : private sim::EventSink {
 
   sim::MemorySystem& mem_;
   TracerOptions options_;
-  std::shared_ptr<sim::EventBuffer> buffer_;
+  sim::EventBuffer buffer_;
   std::unique_ptr<ConflictAttribution> attribution_;
   // A typed sink does both the buffer push and the attribution fold, one
   // virtual call per simulated step: that is what keeps the traced engine

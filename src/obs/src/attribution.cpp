@@ -21,9 +21,7 @@ Json json_of_totals(const sim::ConflictTotals& t) {
 
 ConflictAttribution::ConflictAttribution(const sim::MemoryConfig& config,
                                          AttributionOptions options)
-    : config_{config},
-      options_{options},
-      gap_{options.episode_gap > 0 ? options.episode_gap : config.bank_cycle} {
+    : config_{config}, options_{options} {
   if (options_.window <= 0) throw std::invalid_argument{"ConflictAttribution: window must be > 0"};
 }
 
@@ -61,7 +59,7 @@ void ConflictAttribution::close_episode(PortFold& fold) {
   for (const i64 bank : fold.open.banks) {
     fold.bank_in_episode[static_cast<std::size_t>(bank)] = 0;
   }
-  if (episodes_.size() < options_.max_episodes) {
+  if (episodes_.size() < kMaxEpisodes) {
     // Keep the global list in onset order even though ports close
     // episodes independently.
     auto it = std::upper_bound(episodes_.begin(), episodes_.end(), fold.open,

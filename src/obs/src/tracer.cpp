@@ -6,16 +6,17 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "vpmem/obs/report.hpp"
+
 namespace vpmem::obs {
 
 Tracer::Tracer(sim::MemorySystem& mem, TracerOptions options)
     : mem_{mem},
       options_{options},
-      buffer_{std::make_shared<sim::EventBuffer>(options.capacity)} {
+      buffer_{options.capacity} {
   if (options_.attribution) {
     attribution_ = std::make_unique<ConflictAttribution>(
-        mem.config(),
-        AttributionOptions{.window = options_.window, .episode_gap = options_.episode_gap});
+        mem.config(), AttributionOptions{.window = options_.window});
   }
   mem_.add_event_sink(*this);
   attached_ = true;
@@ -24,7 +25,7 @@ Tracer::Tracer(sim::MemorySystem& mem, TracerOptions options)
 Tracer::~Tracer() { finish(); }
 
 void Tracer::on_events(std::span<const sim::Event> events) {
-  buffer_->push(events);
+  buffer_.push(events);
   if (attribution_) attribution_->on_events(events);
 }
 
@@ -82,10 +83,10 @@ Json Tracer::chrome_trace() {
   const std::size_t ports = mem_.port_count();
 
   std::size_t grants = 0;
-  buffer_->for_each([&](const sim::Event& e) { grants += e.type == sim::Event::Type::grant; });
+  buffer_.for_each([&](const sim::Event& e) { grants += e.type == sim::Event::Type::grant; });
   const std::size_t samples = attribution_ ? attribution_->bandwidth_series().size() : 0;
   Json::Array events;
-  events.reserve(2 + static_cast<std::size_t>(cfg.banks) + ports + buffer_->size() + grants +
+  events.reserve(2 + static_cast<std::size_t>(cfg.banks) + ports + buffer_.size() + grants +
                  samples);
 
   // Track naming: one row per bank (labelled with its section, as in the
@@ -114,7 +115,7 @@ Json Tracer::chrome_trace() {
     conflict_names[k] = kinds[k] + " conflict";
   }
 
-  buffer_->for_each([&](const sim::Event& e) {
+  buffer_.for_each([&](const sim::Event& e) {
     if (e.type == sim::Event::Type::grant) {
       // Service slice on the bank track (the bank stays active nc
       // periods) ...
@@ -195,19 +196,13 @@ Json Tracer::chrome_trace() {
   doc["traceEvents"] = std::move(events);
 
   Json other = Json::object();
-  Json config = Json::object();
-  config["banks"] = cfg.banks;
-  config["sections"] = cfg.sections;
-  config["bank_cycle"] = cfg.bank_cycle;
-  config["mapping"] = to_string(cfg.mapping);
-  config["priority"] = to_string(cfg.priority);
-  other["config"] = std::move(config);
+  other["config"] = json_of(cfg);
   other["ports"] = ports;
   other["cycles"] = mem_.now();
-  other["events_recorded"] = buffer_->recorded();
-  other["events_retained"] = buffer_->size();
-  other["events_dropped"] = buffer_->dropped();
-  other["first_retained_cycle"] = buffer_->first_cycle();
+  other["events_recorded"] = buffer_.recorded();
+  other["events_retained"] = buffer_.size();
+  other["events_dropped"] = buffer_.dropped();
+  other["first_retained_cycle"] = buffer_.first_cycle();
   other["time_unit"] = "1 trace us = 1 clock period";
   other["attribution"] = attribution_ ? attribution_->to_json() : Json{};
   doc["otherData"] = std::move(other);

@@ -10,49 +10,9 @@
 #include "vpmem/sim/config.hpp"
 #include "vpmem/sim/event.hpp"
 #include "vpmem/sim/fault.hpp"
-#include "vpmem/util/json.hpp"
 #include "vpmem/util/numeric.hpp"
 
 namespace vpmem::sim {
-
-/// Current value of the "schema" member emitted by SystemState::to_json().
-inline constexpr const char* kCheckpointSchema = "vpmem.checkpoint/1";
-
-/// A complete snapshot of a MemorySystem mid-run: configuration, fault
-/// plan (with its application cursor and the dynamic fault state), every
-/// port's stream + progress + statistics, bank occupancy and the priority
-/// rotation.  Restoring it into a fresh MemorySystem (the SystemState
-/// constructor) continues the run cycle-for-cycle identically — long
-/// sweeps checkpoint to JSON and resume after interruption.  Event sinks
-/// are not part of the state; reattach them after restoring.  For the
-/// same reason a copied (or moved) MemorySystem, whether constructed or
-/// assigned, starts with no sinks: a sink observes the one system it was
-/// attached to, and is never called by a copy that outlives its detach.
-struct SystemState {
-  MemoryConfig config;
-  FaultPlan plan;
-  std::vector<StreamConfig> streams;
-  std::vector<i64> issued;       ///< per-port elements granted
-  std::vector<PortStats> stats;  ///< per-port counters (incl. current_stall)
-  std::vector<i64> bank_free_at;
-  std::vector<i64> bank_grants;
-  std::vector<i64> bank_owner;  ///< -1 = no grant yet
-  i64 now = 0;
-  i64 rr = 0;
-  // Dynamic fault state (all empty/zero when the plan is empty).
-  i64 plan_cursor = 0;                        ///< plan events already applied
-  std::vector<std::uint8_t> bank_online;      ///< empty == all online
-  std::vector<i64> bank_nc;                   ///< empty == config.bank_cycle
-  std::vector<i64> bank_stall_until;          ///< empty == no windows
-  std::vector<std::pair<i64, i64>> paths_down;  ///< active (cpu, section) outages
-
-  /// Schema vpmem.checkpoint/1.
-  [[nodiscard]] Json to_json() const;
-
-  /// Inverse of to_json(); throws vpmem::Error{config_invalid} on schema
-  /// mismatch or malformed input.
-  [[nodiscard]] static SystemState from_json(const Json& json);
-};
 
 /// Cycle-accurate simulator of an m-way interleaved, sectioned memory
 /// accessed by constant-stride ports.
@@ -75,10 +35,6 @@ class MemorySystem {
   /// An optional FaultPlan degrades the machine over time (see fault.hpp
   /// for the exact semantics); it is validated against `config`.
   MemorySystem(MemoryConfig config, std::vector<StreamConfig> streams, FaultPlan plan = {});
-
-  /// Restore a checkpoint()ed state; the run continues cycle-for-cycle
-  /// identically.  Sinks are not restored.
-  explicit MemorySystem(const SystemState& state);
 
   /// Append a port mid-run.  `start_cycle` must be >= now(), else
   /// vpmem::Error{config_invalid} is thrown.  Under fixed priority the new
@@ -107,8 +63,6 @@ class MemorySystem {
     return static_cast<i64>(surviving_.size());
   }
 
-  /// Snapshot the complete machine state (see SystemState).
-  [[nodiscard]] SystemState checkpoint() const;
   [[nodiscard]] std::size_t port_count() const noexcept { return ports_.size(); }
   [[nodiscard]] const StreamConfig& stream(std::size_t port) const;
   [[nodiscard]] const PortStats& port_stats(std::size_t port) const {
@@ -211,9 +165,12 @@ class MemorySystem {
   /// X-MP driver adds one port per vector instruction) costs O(live
   /// ports) per cycle.  rr_ still rotates over all port indices.
   std::vector<std::size_t> live_;
-  /// Attached sinks, in attachment order.  Copying or moving one yields
-  /// an empty list (see SystemState), so the implicit copy and move
-  /// operations of MemorySystem never share a sink.
+  /// Attached sinks, in attachment order.  A copy of a MemorySystem is
+  /// the engine's one snapshot: it carries the whole machine state and
+  /// continues the run cycle-for-cycle identically, but starts unobserved.
+  /// Copying or moving a SinkList yields an empty list, so a sink observes
+  /// the one system it was attached to and is never called by a copy that
+  /// outlives its detach.
   struct SinkList {
     SinkList() = default;
     SinkList(const SinkList& /*other*/) noexcept {}

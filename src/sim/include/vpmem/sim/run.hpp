@@ -126,26 +126,4 @@ struct GuardedRun {
 /// already built the system, so all inputs were validated.
 GuardedRun run_guarded_on(MemorySystem& mem, const Watchdog& watchdog = {}, i64 horizon = -1);
 
-/// Outcome of a guarded bandwidth measurement.
-struct BandwidthMeasurement {
-  RunStatus status = RunStatus::completed;
-  i64 grants = 0;       ///< grants inside the measured window
-  i64 cycles = 0;       ///< periods actually measured (== window if completed)
-  std::string detail;   ///< stop reason (empty if completed)
-
-  [[nodiscard]] bool ok() const noexcept { return status == RunStatus::completed; }
-  [[nodiscard]] double bandwidth() const noexcept {
-    return cycles == 0 ? 0.0 : static_cast<double>(grants) / static_cast<double>(cycles);
-  }
-};
-
-/// measure_bandwidth under a fault plan and watchdog: warm up for
-/// `warmup` periods, then measure [warmup, warmup + window).  Livelock
-/// detection spans the whole run; on detection the measurement covers the
-/// periods observed so far.  Throws vpmem::Error{config_invalid} on bad
-/// warmup/window arguments.
-[[nodiscard]] BandwidthMeasurement measure_bandwidth_guarded(
-    const MemoryConfig& config, const std::vector<StreamConfig>& streams, i64 warmup,
-    i64 window, const FaultPlan& plan = {}, const Watchdog& watchdog = {});
-
 }  // namespace vpmem::sim

@@ -26,50 +26,6 @@ MemorySystem::MemorySystem(MemoryConfig config, std::vector<StreamConfig> stream
   for (const auto& s : streams) add_stream(s);
 }
 
-MemorySystem::MemorySystem(const SystemState& state)
-    : MemorySystem{state.config, state.streams, state.plan} {
-  if (state.issued.size() != ports_.size() || state.stats.size() != ports_.size()) {
-    throw Error{ErrorCode::config_invalid,
-                "MemorySystem: checkpoint port vectors disagree with streams"};
-  }
-  const auto banks = static_cast<std::size_t>(config_.banks);
-  if (state.bank_free_at.size() != banks || state.bank_grants.size() != banks ||
-      state.bank_owner.size() != banks) {
-    throw Error{ErrorCode::config_invalid,
-                "MemorySystem: checkpoint bank vectors disagree with config"};
-  }
-  live_.clear();
-  for (std::size_t i = 0; i < ports_.size(); ++i) {
-    ports_[i].issued = state.issued[i];
-    ports_[i].stats = state.stats[i];
-    if (!ports_[i].done()) live_.push_back(i);
-  }
-  bank_free_at_ = state.bank_free_at;
-  bank_grants_ = state.bank_grants;
-  for (std::size_t j = 0; j < banks; ++j) {
-    bank_owner_[j] =
-        state.bank_owner[j] < 0 ? kFree : static_cast<std::size_t>(state.bank_owner[j]);
-  }
-  now_ = state.now;
-  rr_ = static_cast<std::size_t>(state.rr);
-  if (state.plan_cursor < 0 || state.plan_cursor > static_cast<i64>(plan_.events.size())) {
-    throw Error{ErrorCode::config_invalid, "MemorySystem: checkpoint plan cursor out of range"};
-  }
-  plan_cursor_ = static_cast<std::size_t>(state.plan_cursor);
-  if (!state.bank_online.empty()) {
-    if (state.bank_online.size() != banks || state.bank_nc.size() != banks ||
-        state.bank_stall_until.size() != banks) {
-      throw Error{ErrorCode::config_invalid,
-                  "MemorySystem: checkpoint fault vectors disagree with config"};
-    }
-    bank_online_ = state.bank_online;
-    bank_nc_ = state.bank_nc;
-    bank_stall_until_ = state.bank_stall_until;
-    paths_down_ = state.paths_down;
-    rebuild_surviving();
-  }
-}
-
 void MemorySystem::init_fault_state() {
   const auto banks = static_cast<std::size_t>(config_.banks);
   bank_online_.assign(banks, 1);
@@ -415,197 +371,6 @@ bool MemorySystem::same_state(const MemorySystem& other) const {
     }
   }
   return paths_down_ == other.paths_down_;
-}
-
-SystemState MemorySystem::checkpoint() const {
-  SystemState st;
-  st.config = config_;
-  st.plan = plan_;
-  st.streams.reserve(ports_.size());
-  st.issued.reserve(ports_.size());
-  st.stats.reserve(ports_.size());
-  for (const auto& p : ports_) {
-    st.streams.push_back(p.cfg);
-    st.issued.push_back(p.issued);
-    st.stats.push_back(p.stats);
-  }
-  st.bank_free_at = bank_free_at_;
-  st.bank_grants = bank_grants_;
-  st.bank_owner.reserve(bank_owner_.size());
-  for (std::size_t owner : bank_owner_) {
-    st.bank_owner.push_back(owner == kFree ? -1 : static_cast<i64>(owner));
-  }
-  st.now = now_;
-  st.rr = static_cast<i64>(rr_);
-  st.plan_cursor = static_cast<i64>(plan_cursor_);
-  if (!plan_.empty()) {
-    st.bank_online = bank_online_;
-    st.bank_nc = bank_nc_;
-    st.bank_stall_until = bank_stall_until_;
-    st.paths_down = paths_down_;
-  }
-  return st;
-}
-
-namespace {
-
-[[noreturn]] void bad_checkpoint(const std::string& what) {
-  throw Error{ErrorCode::config_invalid, "SystemState: " + what};
-}
-
-Json json_of_i64s(const std::vector<i64>& values) {
-  Json out = Json::array();
-  for (const i64 v : values) out.push_back(v);
-  return out;
-}
-
-std::vector<i64> i64s_from_json(const Json& json) {
-  std::vector<i64> out;
-  for (const Json& v : json.as_array()) out.push_back(v.as_int());
-  return out;
-}
-
-}  // namespace
-
-Json SystemState::to_json() const {
-  Json out = Json::object();
-  out["schema"] = kCheckpointSchema;
-
-  Json cfg = Json::object();
-  cfg["banks"] = config.banks;
-  cfg["sections"] = config.sections;
-  cfg["bank_cycle"] = config.bank_cycle;
-  cfg["mapping"] = to_string(config.mapping);
-  cfg["priority"] = to_string(config.priority);
-  out["config"] = std::move(cfg);
-
-  out["fault_plan"] = plan.to_json();
-
-  Json stream_list = Json::array();
-  for (const StreamConfig& s : streams) {
-    Json entry = Json::object();
-    entry["start_bank"] = s.start_bank;
-    entry["distance"] = s.distance;
-    entry["cpu"] = s.cpu;
-    entry["length"] = s.length == kInfiniteLength ? Json{nullptr} : Json{s.length};
-    entry["start_cycle"] = s.start_cycle;
-    entry["bank_pattern"] = json_of_i64s(s.bank_pattern);
-    stream_list.push_back(std::move(entry));
-  }
-  out["streams"] = std::move(stream_list);
-
-  out["issued"] = json_of_i64s(issued);
-  Json stat_list = Json::array();
-  for (const PortStats& p : stats) {
-    Json entry = Json::object();
-    entry["grants"] = p.grants;
-    entry["bank_conflicts"] = p.bank_conflicts;
-    entry["simultaneous_conflicts"] = p.simultaneous_conflicts;
-    entry["section_conflicts"] = p.section_conflicts;
-    entry["fault_conflicts"] = p.fault_conflicts;
-    entry["first_grant_cycle"] = p.first_grant_cycle;
-    entry["last_grant_cycle"] = p.last_grant_cycle;
-    entry["longest_stall"] = p.longest_stall;
-    entry["current_stall"] = p.current_stall;
-    stat_list.push_back(std::move(entry));
-  }
-  out["stats"] = std::move(stat_list);
-
-  out["bank_free_at"] = json_of_i64s(bank_free_at);
-  out["bank_grants"] = json_of_i64s(bank_grants);
-  out["bank_owner"] = json_of_i64s(bank_owner);
-  out["now"] = now;
-  out["rr"] = rr;
-  out["plan_cursor"] = plan_cursor;
-
-  std::vector<i64> online;
-  online.reserve(bank_online.size());
-  for (const std::uint8_t b : bank_online) online.push_back(b);
-  out["bank_online"] = json_of_i64s(online);
-  out["bank_nc"] = json_of_i64s(bank_nc);
-  out["bank_stall_until"] = json_of_i64s(bank_stall_until);
-  Json paths = Json::array();
-  for (const auto& [c, s] : paths_down) {
-    Json entry = Json::object();
-    entry["cpu"] = c;
-    entry["section"] = s;
-    paths.push_back(std::move(entry));
-  }
-  out["paths_down"] = std::move(paths);
-  return out;
-}
-
-SystemState SystemState::from_json(const Json& json) {
-  try {
-    if (!json.contains("schema") || json.at("schema").as_string() != kCheckpointSchema) {
-      bad_checkpoint("unknown or missing schema");
-    }
-    SystemState st;
-    const Json& cfg = json.at("config");
-    st.config.banks = cfg.at("banks").as_int();
-    st.config.sections = cfg.at("sections").as_int();
-    st.config.bank_cycle = cfg.at("bank_cycle").as_int();
-    const std::string mapping = cfg.at("mapping").as_string();
-    if (mapping == to_string(SectionMapping::consecutive)) {
-      st.config.mapping = SectionMapping::consecutive;
-    } else if (mapping != to_string(SectionMapping::cyclic)) {
-      bad_checkpoint("unknown section mapping '" + mapping + "'");
-    }
-    const std::string priority = cfg.at("priority").as_string();
-    if (priority == to_string(PriorityRule::cyclic)) {
-      st.config.priority = PriorityRule::cyclic;
-    } else if (priority != to_string(PriorityRule::fixed)) {
-      bad_checkpoint("unknown priority rule '" + priority + "'");
-    }
-
-    st.plan = FaultPlan::from_json(json.at("fault_plan"));
-
-    for (const Json& s : json.at("streams").as_array()) {
-      StreamConfig stream;
-      stream.start_bank = s.at("start_bank").as_int();
-      stream.distance = s.at("distance").as_int();
-      stream.cpu = s.at("cpu").as_int();
-      stream.length = s.at("length").is_null() ? kInfiniteLength : s.at("length").as_int();
-      stream.start_cycle = s.at("start_cycle").as_int();
-      stream.bank_pattern = i64s_from_json(s.at("bank_pattern"));
-      st.streams.push_back(std::move(stream));
-    }
-
-    st.issued = i64s_from_json(json.at("issued"));
-    for (const Json& p : json.at("stats").as_array()) {
-      PortStats stats;
-      stats.grants = p.at("grants").as_int();
-      stats.bank_conflicts = p.at("bank_conflicts").as_int();
-      stats.simultaneous_conflicts = p.at("simultaneous_conflicts").as_int();
-      stats.section_conflicts = p.at("section_conflicts").as_int();
-      stats.fault_conflicts = p.at("fault_conflicts").as_int();
-      stats.first_grant_cycle = p.at("first_grant_cycle").as_int();
-      stats.last_grant_cycle = p.at("last_grant_cycle").as_int();
-      stats.longest_stall = p.at("longest_stall").as_int();
-      stats.current_stall = p.at("current_stall").as_int();
-      st.stats.push_back(stats);
-    }
-
-    st.bank_free_at = i64s_from_json(json.at("bank_free_at"));
-    st.bank_grants = i64s_from_json(json.at("bank_grants"));
-    st.bank_owner = i64s_from_json(json.at("bank_owner"));
-    st.now = json.at("now").as_int();
-    st.rr = json.at("rr").as_int();
-    st.plan_cursor = json.at("plan_cursor").as_int();
-    for (const i64 b : i64s_from_json(json.at("bank_online"))) {
-      st.bank_online.push_back(b != 0 ? 1 : 0);
-    }
-    st.bank_nc = i64s_from_json(json.at("bank_nc"));
-    st.bank_stall_until = i64s_from_json(json.at("bank_stall_until"));
-    for (const Json& p : json.at("paths_down").as_array()) {
-      st.paths_down.emplace_back(p.at("cpu").as_int(), p.at("section").as_int());
-    }
-    return st;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception& e) {  // missing member / wrong type
-    bad_checkpoint(std::string{"malformed document: "} + e.what());
-  }
 }
 
 }  // namespace vpmem::sim

@@ -15,12 +15,6 @@ i64 total_grants(const MemorySystem& mem) {
   return g;
 }
 
-i64 latest_start_cycle(const std::vector<StreamConfig>& streams) {
-  i64 latest = 0;
-  for (const auto& s : streams) latest = std::max(latest, s.start_cycle);
-  return latest;
-}
-
 void fill_counters(RunResult& out, const MemorySystem& mem) {
   out.ports = mem.all_stats();
   out.conflicts = totals(out.ports);
@@ -127,55 +121,6 @@ GuardedRun run_guarded(const MemoryConfig& config, const std::vector<StreamConfi
   }
   MemorySystem mem{config, streams, plan};
   return run_guarded_on(mem, watchdog);
-}
-
-BandwidthMeasurement measure_bandwidth_guarded(const MemoryConfig& config,
-                                               const std::vector<StreamConfig>& streams,
-                                               i64 warmup, i64 window, const FaultPlan& plan,
-                                               const Watchdog& watchdog) {
-  if (warmup < 0 || window <= 0) {
-    throw Error{ErrorCode::config_invalid,
-                "measure_bandwidth_guarded: warmup >= 0 and window > 0 required"};
-  }
-  MemorySystem mem{config, streams, plan};
-  const i64 lwin = watchdog.livelock_window(config);
-  const i64 latest_start = latest_start_cycle(streams);
-  const i64 horizon = warmup + window;
-  BandwidthMeasurement out;
-  i64 total = 0;
-  i64 last_grant = -1;
-  i64 before = 0;  // grants accumulated when the measured window opened
-  while (mem.now() < horizon) {
-    if (mem.now() >= watchdog.max_cycles) {
-      out.status = RunStatus::deadline_exceeded;
-      out.detail = "cycle budget of " + std::to_string(watchdog.max_cycles) +
-                   " exhausted before the window closed";
-      break;
-    }
-    if (mem.now() % Watchdog::kCancelPollCycles == 0 && watchdog.cancelled()) {
-      out.status = RunStatus::interrupted;
-      out.detail = "cancelled by caller at cycle " + std::to_string(mem.now());
-      break;
-    }
-    if (mem.now() == warmup) before = total;
-    mem.step();
-    const i64 g = total_grants(mem);
-    if (g > total) {
-      total = g;
-      last_grant = mem.now() - 1;
-    } else if (lwin > 0 && mem.now() - std::max(last_grant, latest_start) > lwin &&
-               !mem.finished()) {
-      out.status = RunStatus::livelock;
-      out.detail = "no grant in the last " + std::to_string(lwin) +
-                   " cycles (last grant at cycle " + std::to_string(last_grant) + ")";
-      break;
-    }
-  }
-  if (mem.now() > warmup) {
-    out.grants = total - before;
-    out.cycles = mem.now() - warmup;
-  }
-  return out;
 }
 
 }  // namespace vpmem::sim

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,21 +23,13 @@ namespace vpmem::trace {
 /// Records simulator events and renders the paper's clock diagrams.
 /// Attach before running; render any window afterwards.
 ///
-/// The recording lives in a bounded sim::EventBuffer.  By default the
-/// Timeline owns a fresh buffer; pass a shared one (e.g. from
-/// obs::Tracer::share_buffer()) to render diagrams from a run that is
-/// already being traced without storing the event stream twice.
+/// The recording lives in the Timeline's own bounded sim::EventBuffer
+/// (capacity sim::EventBuffer defaults); windows older than its retention
+/// render as idle.
 class Timeline : private sim::EventSink {
  public:
-  /// Record into a private buffer (capacity sim::EventBuffer defaults):
-  /// the Timeline attaches itself to `mem` as a sink and detaches on
-  /// destruction.
+  /// Attach to `mem` as a sink; detaches on destruction.
   explicit Timeline(sim::MemorySystem& mem);
-
-  /// Read from `buffer` without attaching to `mem`: some other sink (a
-  /// Tracer) fills it.  Windows older than the buffer's retention render
-  /// as idle.
-  Timeline(sim::MemorySystem& mem, std::shared_ptr<sim::EventBuffer> buffer);
 
   Timeline(const Timeline&) = delete;
   Timeline& operator=(const Timeline&) = delete;
@@ -47,10 +38,10 @@ class Timeline : private sim::EventSink {
   ~Timeline() override;
 
   /// All retained events in emission order, unpacked from the buffer.
-  [[nodiscard]] std::vector<sim::Event> events() const { return buffer_->events(); }
+  [[nodiscard]] std::vector<sim::Event> events() const { return buffer_.events(); }
 
-  /// The backing store (shared with any co-observers).
-  [[nodiscard]] const sim::EventBuffer& buffer() const noexcept { return *buffer_; }
+  /// The backing store.
+  [[nodiscard]] const sim::EventBuffer& buffer() const noexcept { return buffer_; }
 
   /// Render clock periods [from, to) as the paper's diagram.  When
   /// `show_sections` is set, rows are labelled "section - bank" as in
@@ -66,11 +57,10 @@ class Timeline : private sim::EventSink {
   void events_csv(std::ostream& os) const;
 
  private:
-  void on_events(std::span<const sim::Event> events) override { buffer_->push(events); }
+  void on_events(std::span<const sim::Event> events) override { buffer_.push(events); }
 
   sim::MemorySystem& mem_;
-  std::shared_ptr<sim::EventBuffer> buffer_;
-  bool recording_ = false;  ///< attached to mem_ (first ctor)
+  sim::EventBuffer buffer_;
 };
 
 /// One-shot helper: simulate `streams` on `config` for `cycles` periods

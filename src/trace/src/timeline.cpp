@@ -3,23 +3,12 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 namespace vpmem::trace {
 
-Timeline::Timeline(sim::MemorySystem& mem)
-    : mem_{mem}, buffer_{std::make_shared<sim::EventBuffer>()}, recording_{true} {
-  mem_.add_event_sink(*this);
-}
+Timeline::Timeline(sim::MemorySystem& mem) : mem_{mem} { mem_.add_event_sink(*this); }
 
-Timeline::Timeline(sim::MemorySystem& mem, std::shared_ptr<sim::EventBuffer> buffer)
-    : mem_{mem}, buffer_{std::move(buffer)} {
-  if (!buffer_) throw std::invalid_argument{"Timeline: null event buffer"};
-}
-
-Timeline::~Timeline() {
-  if (recording_) mem_.remove_event_sink(*this);
-}
+Timeline::~Timeline() { mem_.remove_event_sink(*this); }
 
 namespace {
 
@@ -38,7 +27,7 @@ std::vector<std::string> Timeline::grid(i64 from, i64 to) const {
   std::vector<std::string> rows(static_cast<std::size_t>(m), std::string(width, '.'));
 
   // Pass 1: service periods from grants.
-  buffer_->for_each([&](const sim::Event& e) {
+  buffer_.for_each([&](const sim::Event& e) {
     if (e.type != sim::Event::Type::grant) return;
     for (i64 t = e.cycle; t < e.cycle + nc; ++t) {
       if (t < from || t >= to) continue;
@@ -51,7 +40,7 @@ std::vector<std::string> Timeline::grid(i64 from, i64 to) const {
   // same bank that period (Fig. 3 shows "1<<<<<...", not "<<<<<<...").
   std::vector<std::vector<bool>> grant_start(static_cast<std::size_t>(m),
                                              std::vector<bool>(width, false));
-  buffer_->for_each([&](const sim::Event& e) {
+  buffer_.for_each([&](const sim::Event& e) {
     if (e.type != sim::Event::Type::grant) return;
     if (e.cycle < from || e.cycle >= to) return;
     grant_start[static_cast<std::size_t>(e.bank)][static_cast<std::size_t>(e.cycle - from)] =
@@ -63,7 +52,7 @@ std::vector<std::string> Timeline::grid(i64 from, i64 to) const {
   // holding the contended resource, which orients the marker directly —
   // a self conflict (blocker == port) renders '>' like any other wait on
   // the stream's own earlier grant.
-  buffer_->for_each([&](const sim::Event& e) {
+  buffer_.for_each([&](const sim::Event& e) {
     if (e.type != sim::Event::Type::conflict) return;
     if (e.cycle < from || e.cycle >= to) return;
     const auto col = static_cast<std::size_t>(e.cycle - from);
@@ -105,7 +94,7 @@ std::string Timeline::render(i64 from, i64 to, bool show_sections) const {
 
 void Timeline::events_csv(std::ostream& os) const {
   os << "cycle,type,port,bank,element,conflict,blocker\n";
-  buffer_->for_each([&](const sim::Event& e) {
+  buffer_.for_each([&](const sim::Event& e) {
     const bool grant = e.type == sim::Event::Type::grant;
     os << e.cycle << ',' << (grant ? "grant" : "conflict") << ',' << e.port << ',' << e.bank
        << ',' << e.element << ',' << (grant ? "" : sim::to_string(e.conflict)) << ','

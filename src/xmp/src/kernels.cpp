@@ -6,6 +6,7 @@
 
 #include "vpmem/baseline/random_traffic.hpp"
 #include "vpmem/sim/memory_system.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::xmp {
 
@@ -13,17 +14,19 @@ namespace {
 
 constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
 
+[[noreturn]] void bad_config(const char* what) { throw Error{ErrorCode::config_invalid, what}; }
+
 void validate_setup(const XmpConfig& config, const TriadSetup& setup) {
   config.memory.validate();
-  if (config.vector_length < 1) throw std::invalid_argument{"XmpConfig: vector_length >= 1"};
-  if (config.issue_gap < 0) throw std::invalid_argument{"XmpConfig: issue_gap >= 0"};
-  if (config.chain_latency < 1) throw std::invalid_argument{"XmpConfig: chain_latency >= 1"};
-  if (setup.n < 1) throw std::invalid_argument{"TriadSetup: n >= 1"};
-  if (setup.inc < 1) throw std::invalid_argument{"TriadSetup: inc >= 1"};
-  if (setup.idim < 1) throw std::invalid_argument{"TriadSetup: idim >= 1"};
+  if (config.vector_length < 1) bad_config("XmpConfig: vector_length >= 1");
+  if (config.issue_gap < 0) bad_config("XmpConfig: issue_gap >= 0");
+  if (config.chain_latency < 1) bad_config("XmpConfig: chain_latency >= 1");
+  if (setup.n < 1) bad_config("TriadSetup: n >= 1");
+  if (setup.inc < 1) bad_config("TriadSetup: inc >= 1");
+  if (setup.idim < 1) bad_config("TriadSetup: idim >= 1");
   for (i64 b : config.background_start_banks) {
     if (b < 0 || b >= config.memory.banks) {
-      throw std::invalid_argument{"XmpConfig: background start bank out of range"};
+      bad_config("XmpConfig: background start bank out of range");
     }
   }
 }
@@ -48,7 +51,7 @@ class KernelDriver {
         strips_{static_cast<std::size_t>(ceil_div(count, config.vector_length))},
         load_idx_(strips_, std::vector<std::size_t>(std::max<std::size_t>(nloads_, 1), kUnset)),
         store_idx_(strips_, kUnset) {
-    if (count_ < 1) throw std::invalid_argument{"KernelDriver: count must be >= 1"};
+    if (count_ < 1) bad_config("KernelDriver: count must be >= 1");
   }
 
   /// Schedule whatever became ready; call every clock period (and once
@@ -212,15 +215,15 @@ std::vector<sim::PortStats> collect(const sim::MemorySystem& mem,
 }  // namespace
 
 void KernelSpec::validate() const {
-  if (loads < 0) throw std::invalid_argument{"KernelSpec: loads must be >= 0"};
+  if (loads < 0) bad_config("KernelSpec: loads must be >= 0");
   if (loads == 0 && !store) {
-    throw std::invalid_argument{"KernelSpec: kernel must access memory"};
+    bad_config("KernelSpec: kernel must access memory");
   }
   if (gather && loads < 2) {
-    throw std::invalid_argument{"KernelSpec: gather needs an index load and an indexed load"};
+    bad_config("KernelSpec: gather needs an index load and an indexed load");
   }
   if (scatter && (loads < 1 || !store)) {
-    throw std::invalid_argument{"KernelSpec: scatter needs an index load and a store"};
+    bad_config("KernelSpec: scatter needs an index load and a store");
   }
 }
 

@@ -1,11 +1,12 @@
 #include "vpmem/xmp/machine.hpp"
 
+#include "vpmem/util/error.hpp"
 #include "vpmem/xmp/kernels.hpp"
 
 namespace vpmem::xmp {
 
 std::vector<i64> triad_start_banks(const XmpConfig& config, const TriadSetup& setup) {
-  if (setup.idim < 1) throw std::invalid_argument{"TriadSetup: idim >= 1"};
+  if (setup.idim < 1) throw Error{ErrorCode::config_invalid, "TriadSetup: idim >= 1"};
   const i64 m = config.memory.banks;
   // COMMON// A(IDIM), B(IDIM), C(IDIM), D(IDIM): arrays back to back.
   return {mod_norm(setup.base_bank, m), mod_norm(setup.base_bank + setup.idim, m),

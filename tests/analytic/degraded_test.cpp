@@ -13,6 +13,7 @@
 
 #include "vpmem/analytic/stream.hpp"
 #include "vpmem/sim/fault.hpp"
+#include "vpmem/sim/memory_system.hpp"
 #include "vpmem/sim/run.hpp"
 
 namespace vpmem::analytic {
@@ -57,20 +58,29 @@ TEST(Degraded, CapacityIsMinOfBanksAndPorts) {
   EXPECT_EQ(degraded_capacity(0, 3, 2), (Rational{0, 1}));
 }
 
+/// Exact bandwidth of `streams` under `plan` over [warmup, warmup + window),
+/// driven through one system by the guarded driver.
+Rational window_bandwidth(const sim::MemoryConfig& config,
+                          const std::vector<sim::StreamConfig>& streams,
+                          const sim::FaultPlan& plan, i64 warmup, i64 window) {
+  sim::MemorySystem mem{config, streams, plan};
+  const sim::GuardedRun warm = sim::run_guarded_on(mem, {}, warmup);
+  EXPECT_TRUE(warm.ok()) << warm.detail;
+  const i64 before = warm.result.total_grants();
+  const sim::GuardedRun run = sim::run_guarded_on(mem, {}, warmup + window);
+  EXPECT_TRUE(run.ok()) << run.detail;
+  EXPECT_EQ(run.result.cycles, window);
+  return Rational{run.result.total_grants() - before, window};
+}
+
 /// Exact steady-state bandwidth of one affine stream under a permanent
 /// remap outage, measured over a window that is a whole number of r'·nc
 /// periods so the grant count divides evenly.
 Rational measured_degraded_bandwidth(i64 m, i64 nc, i64 d, const std::vector<i64>& dead) {
-  const sim::FaultPlan plan = remap_outage(dead);
   const i64 survivors = m - static_cast<i64>(dead.size());
   const i64 period = degraded_return_number(survivors, d) * nc;
-  const i64 warmup = 8 * period;
-  const i64 window = 64 * period;
-  const sim::BandwidthMeasurement bw = sim::measure_bandwidth_guarded(
-      flat(m, nc), {sim::StreamConfig{.start_bank = 0, .distance = d}}, warmup, window, plan);
-  EXPECT_EQ(bw.status, sim::RunStatus::completed);
-  EXPECT_EQ(bw.cycles, window);
-  return Rational{bw.grants, bw.cycles};
+  return window_bandwidth(flat(m, nc), {sim::StreamConfig{.start_bank = 0, .distance = d}},
+                          remap_outage(dead), /*warmup=*/8 * period, /*window=*/64 * period);
 }
 
 TEST(Degraded, BoundIsExactAcrossSweep) {
@@ -112,11 +122,9 @@ TEST(Degraded, HealthyMachineReducesToTheorem1) {
 TEST(Degraded, CapacityBoundsTwoStreamWorkloadDuringOutage) {
   // Two d=1 streams on m=8, nc=4, two banks down: total b_eff can never
   // exceed min(p, m'/nc) = min(2, 6/4) = 3/2.
-  const sim::FaultPlan plan = remap_outage({2, 7});
-  const sim::BandwidthMeasurement bw = sim::measure_bandwidth_guarded(
-      flat(8, 4), sim::two_streams(0, 1, 4, 1), /*warmup=*/96, /*window=*/960, plan);
-  ASSERT_TRUE(bw.ok());
-  const Rational measured{bw.grants, bw.cycles};
+  const Rational measured = window_bandwidth(flat(8, 4), sim::two_streams(0, 1, 4, 1),
+                                             remap_outage({2, 7}), /*warmup=*/96,
+                                             /*window=*/960);
   const Rational cap = degraded_capacity(6, 4, 2);
   EXPECT_EQ(cap, (Rational{3, 2}));
   EXPECT_LE(measured.to_double(), cap.to_double() + 1e-12);

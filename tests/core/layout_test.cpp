@@ -2,8 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "vpmem/util/error.hpp"
+
 namespace vpmem::core {
 namespace {
+
+/// `f` throws vpmem::Error{config_invalid}.
+template <class F>
+void expect_config_invalid(F&& f) {
+  try {
+    f();
+    FAIL() << "expected vpmem::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::config_invalid) << e.what();
+  }
+}
 
 sim::MemoryConfig xmp_like() {
   return sim::MemoryConfig{.banks = 16, .sections = 16, .bank_cycle = 4};
@@ -36,8 +49,7 @@ TEST(SweepArraySpacing, ZeroSpacingIsNeverBetterThanBest) {
 }
 
 TEST(SweepArraySpacing, Validation) {
-  EXPECT_THROW(static_cast<void>(sweep_array_spacing(xmp_like(), 1, 0)),
-               std::invalid_argument);
+  expect_config_invalid([] { static_cast<void>(sweep_array_spacing(xmp_like(), 1, 0)); });
 }
 
 TEST(RecommendIdim, ResidueAndMinimality) {
@@ -70,7 +82,7 @@ TEST(RecommendIdim, SpacingMattersForRestrictedAccessSets) {
 }
 
 TEST(RecommendIdim, Validation) {
-  EXPECT_THROW(static_cast<void>(recommend_idim(xmp_like(), 1, 4, 0)), std::invalid_argument);
+  expect_config_invalid([] { static_cast<void>(recommend_idim(xmp_like(), 1, 4, 0)); });
 }
 
 }  // namespace

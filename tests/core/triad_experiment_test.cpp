@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "vpmem/util/error.hpp"
+
 namespace vpmem::core {
 namespace {
 
@@ -54,12 +56,18 @@ TEST(TriadExperiment, RowsStayInIncOrderOnManyWorkers) {
 }
 
 TEST(TriadExperiment, WorkerErrorsReachTheCaller) {
-  // run_triad rejects n = 0 on every worker; the error must surface on
-  // the calling thread instead of terminating the process.
+  // run_triad rejects n = 0 on every worker; the typed error must surface
+  // on the calling thread, code intact, instead of terminating the process.
   TriadExperiment exp = small_experiment();
   exp.setup.n = 0;
-  EXPECT_THROW(static_cast<void>(run_triad_experiment(exp, 4)), std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(run_triad_experiment(exp, 1)), std::invalid_argument);
+  for (const std::size_t workers : {4u, 1u}) {
+    try {
+      static_cast<void>(run_triad_experiment(exp, workers));
+      FAIL() << "expected vpmem::Error on " << workers << " workers";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::config_invalid) << workers;
+    }
+  }
 }
 
 TEST(TriadExperiment, RejectsBadRange) {

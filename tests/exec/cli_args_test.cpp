@@ -2,9 +2,10 @@
 // subcommand accepts exactly the flags it reads, so an unread flag, an
 // unknown subcommand, a wrong positional count, a malformed number and a
 // count below its floor all exit 2 (usage).  The documented invocation
-// shapes keep running, `report` honours --no-attribution and --window, and
-// an unparsable --replay line or --fault name is a typed config error
-// (exit 3).  Every run here is small so the suite also runs under ASan.
+// shapes keep running, `report` honours --no-attribution and --window, an
+// unparsable --replay line or --fault name and a bad machine or kernel
+// input are typed config errors (exit 3), and a blown cycle budget is a
+// typed deadline error (exit 5).  Every run here is small so the suite also runs under ASan.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -251,6 +252,24 @@ TEST(CliArgs, UnparsableReplayAndFaultNamesAreConfigErrors) {
   EXPECT_EQ(run_cli({"fuzz", "--replay", "garbage"}), 3);
   EXPECT_EQ(run_cli({"fuzz", "--replay", "vpmem.fuzz/1 m=4 s=4 nc=1 color=red"}), 3);
   EXPECT_EQ(run_cli({"fuzz", "5", "--fault", "nosuch"}), 3);
+}
+
+TEST(CliArgs, BadMachineAndKernelInputsAreConfigErrors) {
+  const std::vector<Argv> bad = {{"triad", "0", "1"},
+                                 {"triad", "1024", "0"},
+                                 {"kernel", "daxpy", "0", "1"},
+                                 {"idim", "16", "4", "1", "0", "10"},
+                                 {"single", "16", "0", "1"}};
+  for (const auto& args : bad) EXPECT_EQ(run_cli(args), 3) << quoted(args);
+}
+
+TEST(CliArgs, TraceAndReportShareTheCycleBudgetError) {
+  // A finite workload longer than the 1,000,000-cycle budget is a typed
+  // deadline_exceeded (exit 5) for both subcommands.
+  TempDir dir{"budget"};
+  EXPECT_EQ(run_cli({"trace", "16", "4", "1", "--length", "3000000", "--out", dir.file("t.json")}),
+            5);
+  EXPECT_EQ(run_cli({"report", "16", "4", "1", "--length", "3000000"}), 5);
 }
 
 }  // namespace

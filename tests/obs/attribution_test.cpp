@@ -134,9 +134,10 @@ TEST(ConflictAttribution, Fig3YieldsOneEpisodeAtPredictedOnset) {
 }
 
 TEST(ConflictAttribution, EpisodeGapSplitsDistantStalls) {
-  // Two stalls farther apart than the merge gap become two episodes.
+  // Two stalls farther apart than the merge gap (nc = 2) become two
+  // episodes.
   const sim::MemoryConfig config{.banks = 4, .sections = 4, .bank_cycle = 2};
-  ConflictAttribution a{config, AttributionOptions{.episode_gap = 1}};
+  ConflictAttribution a{config};
   sim::Event e;
   e.type = sim::Event::Type::conflict;
   e.port = 0;

@@ -197,22 +197,6 @@ TEST(Tracer, BoundedCapacityEvictsButAttributionStaysExact) {
   }
 }
 
-TEST(Tracer, SharesBufferWithTimeline) {
-  sim::MemorySystem mem{kFig3, fig3_streams()};
-  Tracer tracer{mem};
-  trace::Timeline timeline{mem, tracer.share_buffer()};
-  mem.run(26, /*stop_when_finished=*/false);
-  // Only the tracer is attached; the Timeline reads the same buffer
-  // without recording the stream twice.
-  EXPECT_EQ(mem.event_sink_count(), 1u);
-  const auto grid = timeline.grid(0, 26);
-  ASSERT_EQ(grid.size(), static_cast<std::size_t>(kFig3.banks));
-  // Fig. 3's opening pattern on bank 0: stream 1 is granted at cycle 0
-  // and stream 2 waits on the active bank ("1<<<<<").
-  EXPECT_EQ(grid[0].substr(0, 6), "1<<<<<");
-  EXPECT_EQ(timeline.events().size(), static_cast<std::size_t>(tracer.buffer().size()));
-}
-
 TEST(Tracer, CoexistsWithARecordingTimeline) {
   // A Tracer and a Timeline with its own buffer are two sinks on one
   // run; each must see the full event stream.

@@ -6,6 +6,7 @@
 
 #include <numeric>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "vpmem/sim/memory_system.hpp"
@@ -273,6 +274,68 @@ TEST(FaultModel, AllBanksOfflineGrantsNothing) {
     mem.run(8);
     EXPECT_EQ(mem.all_stats().at(0).grants, 0) << to_string(policy);
     EXPECT_EQ(mem.surviving_banks(), 0) << to_string(policy);
+  }
+}
+
+/// Grant/conflict trail of `mem` over the next `cycles` periods.
+std::vector<Event> trail(MemorySystem& mem, i64 cycles) {
+  EventLog log;
+  mem.add_event_sink(log);
+  mem.run(cycles, /*stop_when_finished=*/false);
+  mem.remove_event_sink(log);
+  return std::move(log.events);
+}
+
+TEST(FaultModel, CopyTakenMidFaultWindowContinuesIdentically) {
+  // A copy is the engine's snapshot: taken while a bank is offline, a slow
+  // bank, a stall window and a path outage are all in force and one plan
+  // event is still pending, it must carry the whole dynamic fault state.
+  const MemoryConfig cfg{.banks = 8, .sections = 4, .bank_cycle = 3,
+                         .priority = PriorityRule::cyclic};
+  FaultPlan plan;
+  plan.policy = FaultPolicy::remap_spare;
+  plan.events = {
+      boff(6, 2),
+      FaultEvent{.kind = FaultEvent::Kind::bank_slow, .cycle = 10, .bank = 0, .value = 4},
+      FaultEvent{.kind = FaultEvent::Kind::bank_stall, .cycle = 14, .bank = 1, .value = 6},
+      FaultEvent{.kind = FaultEvent::Kind::path_offline, .cycle = 18, .cpu = 1, .section = 3},
+      bon(30, 2)};
+  const std::vector<StreamConfig> streams{
+      StreamConfig{.start_bank = 0, .distance = 3, .cpu = 0, .length = 48},
+      StreamConfig{.start_bank = 1, .distance = 5, .cpu = 1, .length = 48, .start_cycle = 2}};
+
+  MemorySystem whole{cfg, streams, plan};
+  whole.run(19, /*stop_when_finished=*/false);
+  const std::vector<Event> expected = trail(whole, 21);
+
+  MemorySystem first_half{cfg, streams, plan};
+  first_half.run(19, /*stop_when_finished=*/false);
+  ASSERT_FALSE(first_half.bank_online(2));
+  ASSERT_EQ(first_half.surviving_banks(), 7);
+  MemorySystem copy = first_half;
+  first_half.run(7, /*stop_when_finished=*/false);  // the original moves on
+  EXPECT_EQ(copy.now(), 19);
+  const std::vector<Event> got = trail(copy, 21);
+
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(got[i].type, expected[i].type);
+    EXPECT_EQ(got[i].cycle, expected[i].cycle);
+    EXPECT_EQ(got[i].port, expected[i].port);
+    EXPECT_EQ(got[i].bank, expected[i].bank);
+    EXPECT_EQ(got[i].conflict, expected[i].conflict);
+    EXPECT_EQ(got[i].blocker, expected[i].blocker);
+  }
+  EXPECT_TRUE(copy.same_state(whole));
+  EXPECT_EQ(copy.surviving_banks(), 8);
+  const std::vector<PortStats> a = whole.all_stats();
+  const std::vector<PortStats> b = copy.all_stats();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    EXPECT_EQ(a[p].grants, b[p].grants) << p;
+    EXPECT_EQ(a[p].bank_conflicts, b[p].bank_conflicts) << p;
+    EXPECT_EQ(a[p].fault_conflicts, b[p].fault_conflicts) << p;
   }
 }
 

@@ -418,7 +418,7 @@ TEST(MemorySystemLiveList, AddStreamAfterOtherPortsFinished) {
   EXPECT_EQ(mem.all_stats().size(), ref.stats().size());
 }
 
-TEST(MemorySystemLiveList, CheckpointRestoreWithFinishedPorts) {
+TEST(MemorySystemLiveList, CopyWithFinishedPortsContinuesTheRun) {
   const MemoryConfig config{.banks = 16, .sections = 4, .bank_cycle = 4,
                             .priority = PriorityRule::cyclic};
   const std::vector<StreamConfig> streams{
@@ -434,12 +434,15 @@ TEST(MemorySystemLiveList, CheckpointRestoreWithFinishedPorts) {
   ASSERT_TRUE(first_half.port_done(0));
   ASSERT_TRUE(first_half.port_done(4));
   ASSERT_FALSE(first_half.port_done(3));
-  // Through JSON, as a resumed sweep would restore it.
-  MemorySystem restored{SystemState::from_json(first_half.checkpoint().to_json())};
-  const std::vector<Event> second = record(restored, 120 - 37);
+  // A copy taken at t = 37 continues on its own, whatever the original
+  // does next.
+  MemorySystem copy = first_half;
+  first_half.run(11, /*stop_when_finished=*/false);
+  EXPECT_EQ(copy.now(), 37);
+  const std::vector<Event> second = record(copy, 120 - 37);
   got.insert(got.end(), second.begin(), second.end());
-  expect_same_events(got, want, "checkpoint");
-  EXPECT_TRUE(restored.same_state(uninterrupted));
+  expect_same_events(got, want, "copy");
+  EXPECT_TRUE(copy.same_state(uninterrupted));
   check::ReferenceModel ref{config, streams};
   ref.run(120);
   expect_same_events(want, ref.events(), "reference");

@@ -150,42 +150,6 @@ TEST(RunGuardedOn, DelayedStartDoesNotTriggerLivelock) {
   EXPECT_EQ(run.result.total_grants(), 8);
 }
 
-TEST(MeasureBandwidthGuarded, MatchesPlainMeasurementWhenHealthy) {
-  const std::vector<StreamConfig> streams{StreamConfig{.distance = 3}};
-  const double plain = measure_bandwidth(flat(8, 2), streams, 64, 512);
-  const BandwidthMeasurement guarded = measure_bandwidth_guarded(flat(8, 2), streams, 64, 512);
-  EXPECT_TRUE(guarded.ok());
-  EXPECT_EQ(guarded.cycles, 512);
-  EXPECT_DOUBLE_EQ(guarded.bandwidth(), plain);
-}
-
-TEST(MeasureBandwidthGuarded, LivelockedWindowReportsZeroGrantsNotHang) {
-  FaultPlan plan;
-  plan.policy = FaultPolicy::stall;
-  plan.events.push_back(FaultEvent{.kind = FaultEvent::Kind::bank_offline, .cycle = 0, .bank = 0});
-  const BandwidthMeasurement bw =
-      measure_bandwidth_guarded(flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 0}},
-                                /*warmup=*/16, /*window=*/1000, plan);
-  EXPECT_FALSE(bw.ok());
-  EXPECT_EQ(bw.status, RunStatus::livelock);
-  EXPECT_EQ(bw.grants, 0);
-  EXPECT_DOUBLE_EQ(bw.bandwidth(), 0.0);
-}
-
-TEST(MeasureBandwidthGuarded, ZeroCycleMeasurementHasZeroBandwidth) {
-  // A run cut down before the window opens must divide by zero nowhere.
-  FaultPlan plan;
-  plan.policy = FaultPolicy::stall;
-  plan.events.push_back(FaultEvent{.kind = FaultEvent::Kind::bank_offline, .cycle = 0, .bank = 0});
-  const Watchdog dog{.max_cycles = 8, .livelock_factor = 0};  // factor 0 disables livelock check
-  const BandwidthMeasurement bw = measure_bandwidth_guarded(
-      flat(8, 2), {StreamConfig{.start_bank = 0, .distance = 0}}, /*warmup=*/64,
-      /*window=*/1000, plan, dog);
-  EXPECT_EQ(bw.status, RunStatus::deadline_exceeded);
-  EXPECT_EQ(bw.cycles, 0);
-  EXPECT_DOUBLE_EQ(bw.bandwidth(), 0.0);
-}
-
 TEST(RunStatus, ToString) {
   EXPECT_EQ(to_string(RunStatus::completed), "completed");
   EXPECT_EQ(to_string(RunStatus::deadline_exceeded), "deadline_exceeded");

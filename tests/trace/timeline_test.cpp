@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -94,17 +93,6 @@ TEST(Timeline, RecordsTheWholeRunAndDetachesOnDestruction) {
   EXPECT_GT(recorded, 0);
   EXPECT_EQ(mem.event_sink_count(), 0u);
   mem.run(10, /*stop_when_finished=*/false);  // nothing left to call
-}
-
-TEST(Timeline, ReaderOfASharedBufferAttachesNothing) {
-  sim::MemorySystem mem{flat(8, 3), sim::two_streams(0, 1, 0, 2)};
-  const auto buffer = std::make_shared<sim::EventBuffer>();
-  Timeline reader{mem, buffer};
-  EXPECT_EQ(mem.event_sink_count(), 0u);
-  EXPECT_EQ(&reader.buffer(), buffer.get());
-  mem.run(10, /*stop_when_finished=*/false);
-  EXPECT_TRUE(reader.events().empty());  // only whoever fills the buffer records
-  EXPECT_THROW((Timeline{mem, nullptr}), std::invalid_argument);
 }
 
 TEST(RenderRun, OneShotHelper) {

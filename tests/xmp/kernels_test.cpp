@@ -2,8 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "vpmem/util/error.hpp"
+
 namespace vpmem::xmp {
 namespace {
+
+/// `f` throws vpmem::Error{config_invalid}.
+template <class F>
+void expect_config_invalid(F&& f) {
+  try {
+    f();
+    FAIL() << "expected vpmem::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::config_invalid) << e.what();
+  }
+}
 
 i64 total_grants(const TriadResult& r) {
   i64 g = 0;
@@ -14,9 +27,9 @@ i64 total_grants(const TriadResult& r) {
 TEST(KernelSpec, Validation) {
   EXPECT_NO_THROW(triad_kernel().validate());
   KernelSpec bad{.name = "bad", .loads = -1, .store = true};
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  expect_config_invalid([&] { bad.validate(); });
   KernelSpec empty{.name = "empty", .loads = 0, .store = false};
-  EXPECT_THROW(empty.validate(), std::invalid_argument);
+  expect_config_invalid([&] { empty.validate(); });
 }
 
 TEST(Kernels, CatalogShapes) {
@@ -95,7 +108,7 @@ TEST(RunKernel, SelfConflictingStrideHurtsEveryKernel) {
 TEST(RunKernel, GatherValidation) {
   KernelSpec bad = gather_kernel();
   bad.loads = 1;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  expect_config_invalid([&] { bad.validate(); });
 }
 
 TEST(RunKernel, GatherTransfersEveryElement) {

@@ -4,8 +4,21 @@
 
 #include <numeric>
 
+#include "vpmem/util/error.hpp"
+
 namespace vpmem::xmp {
 namespace {
+
+/// `f` throws vpmem::Error{config_invalid}.
+template <class F>
+void expect_config_invalid(F&& f) {
+  try {
+    f();
+    FAIL() << "expected vpmem::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::config_invalid) << e.what();
+  }
+}
 
 TEST(TriadStartBanks, PaperCommonLayout) {
   const XmpConfig cfg;
@@ -105,19 +118,19 @@ TEST(RunTriad, Validation) {
   XmpConfig cfg;
   TriadSetup setup;
   setup.n = 0;
-  EXPECT_THROW(static_cast<void>(run_triad(cfg, setup, false)), std::invalid_argument);
+  expect_config_invalid([&] { static_cast<void>(run_triad(cfg, setup, false)); });
   setup.n = 64;
   setup.inc = 0;
-  EXPECT_THROW(static_cast<void>(run_triad(cfg, setup, false)), std::invalid_argument);
+  expect_config_invalid([&] { static_cast<void>(run_triad(cfg, setup, false)); });
   setup.inc = 1;
   setup.idim = 0;
-  EXPECT_THROW(static_cast<void>(run_triad(cfg, setup, false)), std::invalid_argument);
+  expect_config_invalid([&] { static_cast<void>(run_triad(cfg, setup, false)); });
   setup.idim = 1;
   cfg.vector_length = 0;
-  EXPECT_THROW(static_cast<void>(run_triad(cfg, setup, false)), std::invalid_argument);
+  expect_config_invalid([&] { static_cast<void>(run_triad(cfg, setup, false)); });
   cfg.vector_length = 64;
   cfg.background_start_banks = {99};
-  EXPECT_THROW(static_cast<void>(run_triad(cfg, setup, true)), std::invalid_argument);
+  expect_config_invalid([&] { static_cast<void>(run_triad(cfg, setup, true)); });
 }
 
 TEST(RunTriad, SmallVectorLengthStillCorrect) {

@@ -72,7 +72,7 @@ echo "== sanitizer pass: ASan + UBSan on sim/obs/check tests and the CLI argv co
 cmake -B build-asan -S . -DVPMEM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs" --target \
   sim_config_test sim_memory_system_test sim_steady_state_test sim_run_test \
-  sim_pattern_test sim_event_buffer_test sim_fault_test sim_checkpoint_test \
+  sim_pattern_test sim_event_buffer_test sim_fault_test \
   obs_metrics_test \
   obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
   check_reference_model_test check_differential_fuzz_test check_replay_test \
