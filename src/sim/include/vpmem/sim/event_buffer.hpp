@@ -2,12 +2,11 @@
 //
 // Several sinks may watch one run (MemorySystem::add_event_sink), but
 // each one that *stores* events used to keep its own unbounded
-// std::vector<Event>.  EventBuffer is the shared backing store for
-// tracing v2: events are packed to 32 bytes, appended to fixed-size
-// chunks, and the oldest chunk is recycled once the configured capacity
-// is reached — memory stays bounded no matter how long the run is, and
-// trace::Timeline plus obs::Tracer can read the same buffer instead of
-// recording the stream twice.
+// std::vector<Event>.  EventBuffer is the bounded store for tracing v2:
+// events are packed to 32 bytes, appended to fixed-size chunks, and the
+// oldest chunk is recycled once the configured capacity is reached, so
+// memory stays bounded no matter how long the run is.  Each recorder
+// (trace::Timeline, obs::Tracer) owns its EventBuffer by value.
 #pragma once
 
 #include <cstdint>

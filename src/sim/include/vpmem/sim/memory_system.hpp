@@ -59,9 +59,7 @@ class MemorySystem {
   [[nodiscard]] bool bank_online(i64 bank) const;
 
   /// Number of online banks, m' (== banks when no fault plan is active).
-  [[nodiscard]] i64 surviving_banks() const noexcept {
-    return static_cast<i64>(surviving_.size());
-  }
+  [[nodiscard]] i64 surviving_banks() const noexcept { return surviving_; }
 
   [[nodiscard]] std::size_t port_count() const noexcept { return ports_.size(); }
   [[nodiscard]] const StreamConfig& stream(std::size_t port) const;
@@ -76,10 +74,18 @@ class MemorySystem {
   /// True once `port` has transferred all its elements.
   [[nodiscard]] bool port_done(std::size_t port) const { return ports_.at(port).done(); }
 
-  /// Bank the port will request next (nullopt once the stream finished).
-  /// Under FaultPolicy::remap_spare this is the remapped bank, exactly
-  /// the one step() will request.
+  /// Bank the port will request next (nullopt once the stream finished),
+  /// read through the port's bank cursor exactly as step() reads it.
+  /// Under FaultPolicy::remap_spare this is the remapped bank: the
+  /// cursors are re-derived whenever a bank goes offline or comes back.
   [[nodiscard]] std::optional<i64> next_bank(std::size_t port) const;
+
+  /// The port's bank cursor: its position in the bank table that step()
+  /// and next_bank() read.  It moves by a fixed step per grant and wraps
+  /// by one subtraction, so it repeats exactly when the port's bank
+  /// sequence does.  same_state() compares it; find_steady_state()
+  /// fingerprints it.
+  [[nodiscard]] i64 phase(std::size_t port) const { return ports_.at(port).cursor; }
 
   /// Remaining active periods of `bank` (0 == inactive).
   [[nodiscard]] i64 bank_busy(i64 bank) const;
@@ -111,8 +117,8 @@ class MemorySystem {
 
   /// True when this system and `other` are in the same machine state: the
   /// state that determines all future behaviour of *infinite* streams.  It
-  /// consists of each port's phase (next bank, or pattern position, and
-  /// the remaining wait before its start cycle), the rotation of the
+  /// consists of each port's phase (its bank cursor, see phase(), and the
+  /// remaining wait before its start cycle), the rotation of the
   /// cyclic priority, and every bank's remaining busy time, all relative
   /// to each system's own now().  Absolute time, statistics and event
   /// sinks are not part of it.  Equal states => identical futures: from
@@ -124,8 +130,9 @@ class MemorySystem {
   /// bank counts differ never compare equal.  Under a non-empty fault plan
   /// the future also depends on the pending events and the dynamic fault
   /// state, so those are compared as well, together with each port's raw
-  /// progress counter (under remap the phase alone does not fix the
-  /// effective bank).  While a plan is active, states therefore never
+  /// progress counter (under remap a topology change re-derives every
+  /// cursor from that counter, so the cursor alone does not fix the
+  /// future).  While a plan is active, states therefore never
   /// repeat across an interval in which any port was granted, which
   /// soundly disables cycle detection rather than corrupting it.
   ///
@@ -134,20 +141,30 @@ class MemorySystem {
   [[nodiscard]] bool same_state(const MemorySystem& other) const;
 
  private:
+  /// The bank cursor indexes bank_table_, the one address->bank mapping:
+  /// the port's next request targets bank_table_[cursor].  A grant moves
+  /// the cursor by `step` and wraps it into [end - span, end) by one
+  /// subtraction.  An affine stream walks the lane table at the front
+  /// (cursor = (b + issued*d) mod span, step = d mod span); a pattern
+  /// stream walks its own mapped copy of the pattern (step 1).  Cursors
+  /// are indices, not pointers, so a copy of the system is self-contained.
   struct PortState {
     StreamConfig cfg;
     i64 issued = 0;  ///< elements granted so far
+    i64 cursor = 0;  ///< bank_table_ index of the next request's bank
+    i64 step = 0;
+    i64 end = 0;
+    i64 span = 0;
     PortStats stats;
     [[nodiscard]] bool done() const noexcept { return issued >= cfg.length; }
   };
 
-  /// A port's phase as same_state() compares it: (next bank, or m plus
-  /// the pattern position, or -2 once done; remaining start wait).
+  /// A port's phase as same_state() compares it: (cursor, or -2 once
+  /// done; remaining start wait).
   [[nodiscard]] std::pair<i64, i64> phase_of(const PortState& port) const;
-  void init_fault_state();
   void apply_due_faults();
   void rebuild_surviving();
-  [[nodiscard]] i64 effective_bank(const PortState& port) const;
+  void aim(PortState& port);
   [[nodiscard]] bool path_down(i64 cpu, i64 section) const;
 
   MemoryConfig config_;
@@ -196,7 +213,14 @@ class MemorySystem {
   std::vector<i64> bank_nc_;                  ///< per-bank effective cycle time
   std::vector<i64> bank_stall_until_;         ///< exclusive end of stall window
   std::vector<std::pair<i64, i64>> paths_down_;  ///< active (cpu, section) outages
-  std::vector<i64> surviving_;                ///< online banks, ascending
+  i64 surviving_ = 0;                         ///< online banks, m'
+  /// Banks the cursors index.  The first `lanes_` entries are the lane
+  /// table every affine port walks: the banks in ascending order, which
+  /// under remap_spare with 0 < m' < m are the m' survivors.  Each pattern
+  /// port owns a later slice holding lane[pattern[k] mod lanes_].  Only
+  /// add_stream() and a remap topology change (rebuild_surviving) write it.
+  std::vector<i64> bank_table_;
+  i64 lanes_ = 0;
 };
 
 }  // namespace vpmem::sim

@@ -1,6 +1,7 @@
 #include "vpmem/sim/memory_system.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "vpmem/util/error.hpp"
@@ -21,26 +22,51 @@ MemorySystem::MemorySystem(MemoryConfig config, std::vector<StreamConfig> stream
       bank_claim_(static_cast<std::size_t>(config.banks), kFree) {
   config_.validate();
   plan_.validate(config_);
-  init_fault_state();
-  ports_.reserve(streams.size());
-  for (const auto& s : streams) add_stream(s);
-}
-
-void MemorySystem::init_fault_state() {
   const auto banks = static_cast<std::size_t>(config_.banks);
   bank_online_.assign(banks, 1);
   bank_nc_.assign(banks, config_.bank_cycle);
   bank_stall_until_.assign(banks, 0);
-  paths_down_.clear();
-  plan_cursor_ = 0;
-  rebuild_surviving();
+  surviving_ = lanes_ = config_.banks;
+  bank_table_.resize(banks);
+  std::iota(bank_table_.begin(), bank_table_.end(), i64{0});
+  ports_.reserve(streams.size());
+  for (const auto& s : streams) add_stream(s);
 }
 
 void MemorySystem::rebuild_surviving() {
-  surviving_.clear();
-  for (std::size_t j = 0; j < bank_online_.size(); ++j) {
-    if (bank_online_[j] != 0) surviving_.push_back(static_cast<i64>(j));
+  surviving_ = static_cast<i64>(std::count(bank_online_.begin(), bank_online_.end(), 1));
+  if (plan_.policy != FaultPolicy::remap_spare) return;
+  // The interleave collapses onto the m' surviving banks, ascending (onto
+  // all m again once none survives: every request then stalls), and each
+  // live port's cursor is re-derived from its progress counter (fault.hpp
+  // documents this contract).
+  lanes_ = 0;
+  for (i64 j = 0; j < config_.banks; ++j) {
+    if (surviving_ == 0 || bank_online_[static_cast<std::size_t>(j)] != 0) {
+      bank_table_[static_cast<std::size_t>(lanes_++)] = j;
+    }
   }
+  for (const std::size_t idx : live_) aim(ports_[idx]);
+}
+
+void MemorySystem::aim(PortState& port) {
+  const StreamConfig& s = port.cfg;
+  if (!s.has_pattern()) {
+    // Slot (b + issued*d) mod lanes, without the product overflowing.
+    port.step = mod_norm(s.distance, lanes_);
+    port.cursor = mod_norm(s.start_bank + port.step * (port.issued % lanes_), lanes_);
+    port.end = lanes_;
+    port.span = lanes_;
+    return;
+  }
+  // Slot pattern[k] mod lanes, one table entry per pattern position.
+  const i64 base = port.end - port.span;
+  for (i64 k = 0; k < port.span; ++k) {
+    const i64 slot = s.bank_pattern[static_cast<std::size_t>(k)] % lanes_;
+    bank_table_[static_cast<std::size_t>(base + k)] = bank_table_[static_cast<std::size_t>(slot)];
+  }
+  port.step = 1;
+  port.cursor = base + port.issued % port.span;
 }
 
 void MemorySystem::apply_due_faults() {
@@ -95,20 +121,6 @@ bool MemorySystem::path_down(i64 cpu, i64 section) const {
   return false;
 }
 
-i64 MemorySystem::effective_bank(const PortState& port) const {
-  const i64 raw = port.cfg.bank_of(port.issued, config_.banks);
-  if (plan_.policy != FaultPolicy::remap_spare) return raw;
-  const i64 alive = static_cast<i64>(surviving_.size());
-  if (alive == config_.banks || alive == 0) return raw;
-  // The interleave collapses onto the m' surviving banks: the stream's
-  // bank sequence is re-addressed mod m' and looked up in the ascending
-  // surviving list (fault.hpp documents this contract).
-  const i64 slot = port.cfg.has_pattern()
-                       ? mod_norm(port.cfg.bank_of(port.issued, config_.banks), alive)
-                       : mod_norm(port.cfg.start_bank + port.issued * port.cfg.distance, alive);
-  return surviving_[static_cast<std::size_t>(slot)];
-}
-
 std::size_t MemorySystem::add_stream(const StreamConfig& stream) {
   stream.validate(config_);
   if (stream.start_cycle < now_) {
@@ -118,6 +130,12 @@ std::size_t MemorySystem::add_stream(const StreamConfig& stream) {
   path_claim_.assign(static_cast<std::size_t>((max_cpu_ + 1) * config_.sections), kFree);
   PortState port;
   port.cfg = stream;
+  // A pattern port's own slice of the bank table (aim() fills it; an
+  // affine port's slice is empty and aim() points it at the lanes).
+  port.span = static_cast<i64>(stream.bank_pattern.size());
+  bank_table_.resize(bank_table_.size() + stream.bank_pattern.size());
+  port.end = static_cast<i64>(bank_table_.size());
+  aim(port);
   ports_.push_back(std::move(port));
   const std::size_t idx = ports_.size() - 1;
   if (!ports_[idx].done()) live_.push_back(idx);
@@ -138,7 +156,7 @@ i64 MemorySystem::elements_done(std::size_t port) const { return ports_.at(port)
 std::optional<i64> MemorySystem::next_bank(std::size_t port) const {
   const PortState& p = ports_.at(port);
   if (p.done()) return std::nullopt;
-  return effective_bank(p);
+  return bank_table_[static_cast<std::size_t>(p.cursor)];
 }
 
 i64 MemorySystem::bank_busy(i64 bank) const {
@@ -223,7 +241,7 @@ void MemorySystem::step() {
     PortState& port = ports_[idx];
     if (now_ < port.cfg.start_cycle) continue;
 
-    const i64 bank = effective_bank(port);
+    const i64 bank = bank_table_[static_cast<std::size_t>(port.cursor)];
     const auto bank_u = static_cast<std::size_t>(bank);
 
     Event& ev = step_events_[events++];
@@ -300,6 +318,8 @@ void MemorySystem::step() {
     ev.type = Event::Type::grant;
     ev.blocker = idx;
     ++port.issued;
+    port.cursor += port.step;
+    if (port.cursor >= port.end) port.cursor -= port.span;
     retired = retired || port.done();
   }
 
@@ -328,13 +348,7 @@ i64 MemorySystem::run(i64 cycles, bool stop_when_finished) {
 
 std::pair<i64, i64> MemorySystem::phase_of(const PortState& port) const {
   if (port.done()) return {-2, 0};
-  const i64 wait = std::max<i64>(0, port.cfg.start_cycle - now_);
-  if (port.cfg.has_pattern()) {
-    // Pattern phase fully determines the future; offset past the bank
-    // address domain so affine and pattern phases cannot collide.
-    return {config_.banks + port.issued % static_cast<i64>(port.cfg.bank_pattern.size()), wait};
-  }
-  return {port.cfg.bank_of(port.issued, config_.banks), wait};
+  return {port.cursor, std::max<i64>(0, port.cfg.start_cycle - now_)};
 }
 
 bool MemorySystem::same_state(const MemorySystem& other) const {
@@ -354,7 +368,7 @@ bool MemorySystem::same_state(const MemorySystem& other) const {
   if (plan_.empty()) return true;
   // A fault plan makes the future depend on absolute time (pending
   // events), the dynamic fault state and, under remap, the raw progress
-  // counters (see the header).
+  // counters the cursors are re-derived from (see the header).
   const auto pending = [](const MemorySystem& s) { return s.plan_.events.size() - s.plan_cursor_; };
   const auto next_due = [](const MemorySystem& s) {
     return s.plan_cursor_ < s.plan_.events.size() ? s.plan_.events[s.plan_cursor_].cycle - s.now_

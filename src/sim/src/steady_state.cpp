@@ -115,12 +115,13 @@ class FingerprintTable {
 
 /// A 64-bit fingerprint of exactly the fields same_state() compares for a
 /// plan-free system, kept up to date as one walker steps: equal states
-/// always have equal fingerprints.  It reads only the walker's per-port
-/// grant counters, so a step costs O(p) plus O(1) per bank granted or
-/// freed, with no division and nothing added to MemorySystem::step().
-///   - Port i's phase_of() moves by one stride (or one pattern position)
-///     per grant; the ports enter as the sum of phase_i * K_i for odd
-///     per-port constants K_i.  Start waits are folded into one term,
+/// always have equal fingerprints.  It reads the walker's per-port grant
+/// counters, and a granted port's new phase() and next_bank(), so a step
+/// costs O(p) plus O(1) per bank granted or freed, with no division and
+/// nothing added to MemorySystem::step().
+///   - The ports enter as the sum of phase_i * K_i for odd per-port
+///     constants K_i, where phase_i is port i's bank cursor, the phase
+///     same_state() compares.  Start waits are folded into one term,
 ///     max(0, latest start - t): it is positive only while no state can
 ///     recur.
 ///   - The priority rotation rr mod p counts up under the cyclic rule and
@@ -137,26 +138,11 @@ class Fingerprint {
     ports_sum_ = 0;
     i64 latest_start = 0;
     for (std::size_t i = 0; i < sys.port_count(); ++i) {
-      const StreamConfig& s = sys.stream(i);
-      Port port;
-      port.grants = sys.port_stats(i).grants;
-      if (s.has_pattern()) {
-        port.pattern = s.bank_pattern.data();
-        port.phase = config.banks;
-        port.stride = 1;
-        port.end = config.banks + static_cast<i64>(s.bank_pattern.size());
-        port.span = static_cast<i64>(s.bank_pattern.size());
-      } else {
-        port.phase = s.start_bank;
-        port.stride = mod_norm(s.distance, config.banks);
-        port.end = config.banks;
-        port.span = config.banks;
-      }
-      const u64 k = mix(i) | 1;
-      port.stride_term = static_cast<u64>(port.stride) * k;
-      port.span_term = static_cast<u64>(port.span) * k;
-      ports_sum_ += static_cast<u64>(port.phase) * k;
-      latest_start = std::max(latest_start, s.start_cycle);
+      const Port port{.grants = sys.port_stats(i).grants,
+                      .phase = sys.phase(i),
+                      .bank = sys.next_bank(i).value()};
+      ports_sum_ += static_cast<u64>(port.phase) * weight(i);
+      latest_start = std::max(latest_start, sys.stream(i).start_cycle);
       ports_.push_back(port);
     }
     latest_start_ = latest_start;
@@ -189,18 +175,14 @@ class Fingerprint {
       if (grants == port.grants) continue;
       port.grants = grants;
       if (cycle_ > 1) {
-        const i64 bank =
-            port.pattern != nullptr ? port.pattern[port.phase - port.end + port.span] : port.phase;
-        const u64 hash = mix(static_cast<u64>(bank));
+        const u64 hash = mix(static_cast<u64>(port.bank));
         busy_sum_ += hash * fresh_scale_;
         busy_[busy_tail_++ & mask] = {now - 1 + cycle_, hash};
       }
-      port.phase += port.stride;
-      ports_sum_ += port.stride_term;
-      if (port.phase >= port.end) {
-        port.phase -= port.span;
-        ports_sum_ -= port.span_term;
-      }
+      const i64 phase = sys.phase(i);
+      ports_sum_ += static_cast<u64>(phase - port.phase) * weight(i);
+      port.phase = phase;
+      port.bank = sys.next_bank(i).value();
     }
     if (cyclic_ && !ports_.empty() && ++rr_ == static_cast<i64>(ports_.size())) rr_ = 0;
     if (wait_ > 0) wait_ = std::max<i64>(0, latest_start_ - now);
@@ -214,15 +196,12 @@ class Fingerprint {
 
  private:
   struct Port {
-    const i64* pattern = nullptr;  ///< bank pattern, or nullptr for an affine stream
-    i64 phase = 0;   ///< phase_of().first, in [end - span, end)
-    i64 stride = 0;  ///< phase step per grant
-    i64 end = 0;
-    i64 span = 0;
-    u64 stride_term = 0;  ///< stride * K_i
-    u64 span_term = 0;    ///< span * K_i
-    i64 grants = 0;       ///< grant counter at the last advance
+    i64 grants = 0;  ///< grant counter at the last advance
+    i64 phase = 0;   ///< MemorySystem::phase() at the last advance
+    i64 bank = 0;    ///< next_bank() at the last advance
   };
+  /// K_i, the odd constant port i's phase is weighted by.
+  [[nodiscard]] static u64 weight(std::size_t port) noexcept { return mix(port) | 1; }
   struct Grant {
     i64 free_at;  ///< the bank is busy while now < free_at
     u64 hash;     ///< h(bank)

@@ -1,6 +1,6 @@
 // Tracer: Chrome trace-event export (schema vpmem.trace/1), buffer/
-// counter reconciliation, the shared-buffer path into Timeline, and the
-// golden bytes of the trace and run-report exports.
+// counter reconciliation, coexistence with a recording Timeline on one
+// run, and the golden bytes of the trace and run-report exports.
 #include "vpmem/obs/tracer.hpp"
 
 #include <gtest/gtest.h>

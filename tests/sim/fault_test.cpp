@@ -152,17 +152,37 @@ TEST(FaultModel, RemapSpareRoutesAroundDeadBank) {
   EXPECT_EQ(mem.all_stats().at(0).fault_conflicts, 0);
 }
 
+/// fault.hpp's remap_spare contract, evaluated from scratch: request k of
+/// `s` targets surviving[(b + k*d) mod m'] (affine) or
+/// surviving[pattern[k] mod m'] (pattern) while 0 < m' < m, and its
+/// interleave bank otherwise.
+i64 remapped_bank(const MemorySystem& mem, const StreamConfig& s, i64 k) {
+  const i64 m = mem.config().banks;
+  std::vector<i64> surviving;
+  for (i64 j = 0; j < m; ++j) {
+    if (mem.bank_online(j)) surviving.push_back(j);
+  }
+  const auto alive = static_cast<i64>(surviving.size());
+  if (alive == 0 || alive == m) return s.bank_of(k, m);
+  const i64 slot = s.has_pattern() ? s.bank_of(k, m) % alive
+                                   : mod_norm(s.start_bank + k * s.distance, alive);
+  return surviving[static_cast<std::size_t>(slot)];
+}
+
 TEST(FaultModel, NextBankIsTheRemappedBankStepRequests) {
-  // With banks 2 and 5 offline under remap_spare, next_bank(p) must name
-  // the surviving bank that p's next request (grant or conflict) targets,
-  // not the raw interleave bank.
+  // Under remap_spare, next_bank(p) must name the surviving bank that p's
+  // next request (grant or conflict) targets, not the raw interleave
+  // bank, across repeated topology changes: banks 2 and 5 go offline, 2
+  // comes back, then 2 and 6 go offline.  Each change re-derives every
+  // cursor, including a negative-stride port's and a pattern port's.
   FaultPlan plan;
   plan.policy = FaultPolicy::remap_spare;
-  plan.events = {boff(0, 2), boff(0, 5)};
+  plan.events = {boff(0, 2), boff(0, 5), bon(25, 2), boff(50, 2), boff(50, 6)};
   MemorySystem mem{MemoryConfig{.banks = 8, .sections = 4, .bank_cycle = 2},
-                   {StreamConfig{.start_bank = 0, .distance = 1, .length = 40},
-                    StreamConfig{.start_bank = 3, .distance = 3, .cpu = 1, .length = 40},
-                    StreamConfig{.length = 30, .bank_pattern = {1, 2, 5, 7}}},
+                   {StreamConfig{.start_bank = 0, .distance = 1, .length = 60},
+                    StreamConfig{.start_bank = 3, .distance = 3, .cpu = 1, .length = 60},
+                    StreamConfig{.length = 50, .bank_pattern = {1, 2, 5, 7}},
+                    StreamConfig{.start_bank = 6, .distance = -3, .cpu = 1, .length = 60}},
                    plan};
   mem.step();  // applies the cycle-0 outages
   i64 granted_before = 0;
@@ -172,24 +192,39 @@ TEST(FaultModel, NextBankIsTheRemappedBankStepRequests) {
   EventLog log;
   mem.add_event_sink(log);
   i64 remapped = 0;
+  std::vector<i64> survivors_seen;
   while (!mem.finished()) {
+    ASSERT_LT(mem.now(), 1000) << "ports starved";
     predicted.clear();
     for (std::size_t p = 0; p < mem.port_count(); ++p) {
       predicted.push_back(mem.next_bank(p));
       if (!predicted.back()) continue;
-      EXPECT_TRUE(mem.bank_online(*predicted.back()));
+      ASSERT_TRUE(mem.bank_online(*predicted.back()));
       const StreamConfig& s = mem.stream(p);
-      if (*predicted.back() != s.bank_of(mem.elements_done(p), 8)) ++remapped;
+      const i64 k = mem.elements_done(p);
+      ASSERT_EQ(*predicted.back(), remapped_bank(mem, s, k))
+          << "port " << p << " element " << k << " cycle " << mem.now();
+      if (*predicted.back() != s.bank_of(k, 8)) ++remapped;
     }
+    if (survivors_seen.empty() || survivors_seen.back() != mem.surviving_banks()) {
+      survivors_seen.push_back(mem.surviving_banks());
+    }
+    // A plan event due this cycle changes the topology before the
+    // requests, so the predictions made above are checked from the next
+    // cycle on.
+    const bool topology_due = mem.now() == 25 || mem.now() == 50;
     log.events.clear();
     mem.step();
     for (const Event& e : log.events) {
       ASSERT_TRUE(predicted.at(e.port).has_value());
-      EXPECT_EQ(e.bank, *predicted[e.port]) << "port " << e.port << " cycle " << e.cycle;
+      if (!topology_due) {
+        EXPECT_EQ(e.bank, *predicted[e.port]) << "port " << e.port << " cycle " << e.cycle;
+      }
       if (e.type == Event::Type::grant) ++grants_checked;
     }
   }
-  EXPECT_EQ(grants_checked + granted_before, 40 + 40 + 30);
+  EXPECT_EQ(grants_checked + granted_before, 60 + 60 + 50 + 60);
+  EXPECT_EQ(survivors_seen, (std::vector<i64>{6, 7, 5}));
   EXPECT_GT(remapped, 20);
   for (std::size_t p = 0; p < mem.port_count(); ++p) EXPECT_FALSE(mem.next_bank(p));
 }
@@ -302,18 +337,22 @@ TEST(FaultModel, CopyTakenMidFaultWindowContinuesIdentically) {
       bon(30, 2)};
   const std::vector<StreamConfig> streams{
       StreamConfig{.start_bank = 0, .distance = 3, .cpu = 0, .length = 48},
-      StreamConfig{.start_bank = 1, .distance = 5, .cpu = 1, .length = 48, .start_cycle = 2}};
+      StreamConfig{.start_bank = 1, .distance = 5, .cpu = 1, .length = 48, .start_cycle = 2},
+      StreamConfig{.cpu = 1, .length = 40, .bank_pattern = {7, 2, 2, 4, 0}}};
 
   MemorySystem whole{cfg, streams, plan};
   whole.run(19, /*stop_when_finished=*/false);
   const std::vector<Event> expected = trail(whole, 21);
 
-  MemorySystem first_half{cfg, streams, plan};
-  first_half.run(19, /*stop_when_finished=*/false);
-  ASSERT_FALSE(first_half.bank_online(2));
-  ASSERT_EQ(first_half.surviving_banks(), 7);
-  MemorySystem copy = first_half;
-  first_half.run(7, /*stop_when_finished=*/false);  // the original moves on
+  std::optional<MemorySystem> first_half{std::in_place, cfg, streams, plan};
+  first_half->run(19, /*stop_when_finished=*/false);
+  ASSERT_FALSE(first_half->bank_online(2));
+  ASSERT_EQ(first_half->surviving_banks(), 7);
+  MemorySystem copy = *first_half;
+  // The original moves on and is destroyed before the copy continues
+  // (under ASan, a copy reading its source's storage fails here).
+  first_half->run(7, /*stop_when_finished=*/false);
+  first_half.reset();
   EXPECT_EQ(copy.now(), 19);
   const std::vector<Event> got = trail(copy, 21);
 

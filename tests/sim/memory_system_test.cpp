@@ -230,6 +230,45 @@ TEST(MemorySystem, NextBankAndElementsDone) {
   EXPECT_TRUE(mem.port_done(0));
 }
 
+/// Steps `mem` until every port has had at least `grants` grants,
+/// checking before each step that next_bank() is the closed-form
+/// StreamConfig::bank_of() of the port's progress.
+void expect_cursor_tracks_bank_of(MemorySystem& mem, i64 grants) {
+  const i64 m = mem.config().banks;
+  const auto behind = [&] {
+    for (std::size_t p = 0; p < mem.port_count(); ++p) {
+      if (mem.elements_done(p) < grants) return true;
+    }
+    return false;
+  };
+  for (i64 steps = 0; behind(); ++steps) {
+    ASSERT_LT(steps, 4 * mem.config().bank_cycle * grants) << "ports starved";
+    for (std::size_t p = 0; p < mem.port_count(); ++p) {
+      ASSERT_EQ(mem.next_bank(p), mem.stream(p).bank_of(mem.elements_done(p), m))
+          << "port " << p << " after " << mem.elements_done(p) << " grants";
+    }
+    mem.step();
+  }
+}
+
+TEST(MemorySystem, NextBankMatchesBankOfAtEdgeStrides) {
+  for (const i64 m : {1, 2, 7, 16, 64}) {
+    const std::vector<i64> strides{0, 1, -1, m, -m, m + 1, -(m + 1), 5 * m + 3, -(5 * m + 3)};
+    for (const i64 d : strides) {
+      for (const i64 nc : {1, 3}) {
+        SCOPED_TRACE("m " + std::to_string(m) + " d " + std::to_string(d) + " nc " +
+                     std::to_string(nc));
+        const MemoryConfig cfg{.banks = m, .sections = 1, .bank_cycle = nc,
+                               .priority = PriorityRule::cyclic};
+        MemorySystem mem{cfg,
+                         {StreamConfig{.start_bank = m - 1, .distance = d},
+                          StreamConfig{.start_bank = m / 2, .distance = -d, .cpu = 1}}};
+        expect_cursor_tracks_bank_of(mem, 3 * m + 1);
+      }
+    }
+  }
+}
+
 TEST(MemorySystem, SameStateRepeatsWithCyclicBehaviour) {
   // A single conflict-free infinite stream has period r = m once past the
   // cold start (the t = 0 state has no residually busy banks, so it never

@@ -2,6 +2,10 @@
 // skewed storage, diagonals and synthetic random traffic).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "vpmem/sim/memory_system.hpp"
 #include "vpmem/util/error.hpp"
 #include "vpmem/sim/steady_state.hpp"
@@ -77,6 +81,34 @@ TEST(PatternStream, NextBankReportsPatternTarget) {
   EXPECT_EQ(mem.next_bank(0), std::optional<i64>{5});
   mem.step();
   EXPECT_EQ(mem.next_bank(0), std::optional<i64>{2});
+}
+
+TEST(PatternStream, NextBankMatchesBankOfForShortAndOddPatterns) {
+  // Before every step for >= 3m grants of each port, next_bank() is the
+  // closed-form StreamConfig::bank_of(): a length-1 pattern (the cursor
+  // wraps on every grant) beside a length-7 one and an affine port.
+  for (const i64 m : {1, 8, 16}) {
+    SCOPED_TRACE("m " + std::to_string(m));
+    const MemoryConfig cfg{.banks = m, .sections = 1, .bank_cycle = 2,
+                           .priority = PriorityRule::cyclic};
+    std::vector<i64> seven;
+    for (i64 k = 0; k < 7; ++k) seven.push_back((5 * k + 3) % m);
+    MemorySystem mem{cfg,
+                     {StreamConfig{.bank_pattern = {m - 1}},
+                      StreamConfig{.cpu = 1, .bank_pattern = seven},
+                      StreamConfig{.start_bank = m / 2, .distance = -(m + 1), .cpu = 2}}};
+    const i64 grants = 3 * std::max<i64>(m, 7) + 1;
+    for (i64 steps = 0; mem.elements_done(0) < grants || mem.elements_done(1) < grants ||
+                        mem.elements_done(2) < grants;
+         ++steps) {
+      ASSERT_LT(steps, 8 * grants) << "ports starved";
+      for (std::size_t p = 0; p < mem.port_count(); ++p) {
+        ASSERT_EQ(mem.next_bank(p), mem.stream(p).bank_of(mem.elements_done(p), m))
+            << "port " << p << " after " << mem.elements_done(p) << " grants";
+      }
+      mem.step();
+    }
+  }
 }
 
 }  // namespace

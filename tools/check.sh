@@ -16,7 +16,10 @@
 # and the reference model's event-log scans; the timeline, invariants and
 # cross-validation tests, which run those sinks from trace, check and the
 # integration layer; the X-MP and triad-experiment tests, which drive the
-# engine's live-port list and the kernel driver's strip cursor; and the
+# engine's live-port list and the kernel driver's strip cursor; the three
+# suites that pin engine output bit for bit (xmp_golden_test with its
+# hundreds of mid-run ports, trace_golden_figures_test and
+# check_add_stream_property_test), which walk every port's bank cursor; the
 # util JSON and journal tests, which cover the single-buffer JSON writer
 # and its stream flushes; and the CLI argv contract (exec_cli_args_test),
 # which drives a sanitized vpmem_cli through every subcommand's parser.
@@ -76,12 +79,13 @@ cmake --build build-asan -j "$jobs" --target \
   obs_metrics_test \
   obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
   check_reference_model_test check_differential_fuzz_test check_replay_test \
-  check_fault_plan_fuzz_test check_invariants_test \
-  trace_timeline_test integration_cross_validation_test \
-  xmp_machine_test xmp_kernels_test xmp_multitask_test core_triad_experiment_test \
+  check_fault_plan_fuzz_test check_invariants_test check_add_stream_property_test \
+  trace_timeline_test trace_golden_figures_test integration_cross_validation_test \
+  xmp_machine_test xmp_kernels_test xmp_multitask_test xmp_golden_test \
+  core_triad_experiment_test \
   util_json_test util_journal_test exec_cli_args_test
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -R \
-  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_invariants|trace_timeline|integration_cross_validation|xmp_machine|xmp_kernels|xmp_multitask|core_triad_experiment|util_json|util_journal|exec_cli_args)'
+  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_invariants|check_add_stream_property|trace_timeline|trace_golden_figures|integration_cross_validation|xmp_machine|xmp_kernels|xmp_multitask|xmp_golden|core_triad_experiment|util_json|util_journal|exec_cli_args)'
 
 echo "== sanitizer pass: TSan on everything but the fork-labelled suites =="
 cmake -B build-tsan -S . -DVPMEM_SANITIZE_THREAD=ON >/dev/null
