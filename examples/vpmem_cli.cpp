@@ -192,19 +192,21 @@ int cmd_single(const Args& args) {
 
 int cmd_pair(const Args& args) {
   const auto cfg = config_from(args, args.positional[0], args.positional[1]);
+  const obs::Stopwatch wall;
   const core::PairReport r =
       core::analyze_pair(cfg, args.positional[2], args.positional[3], args.same_cpu);
+  const sim::OffsetSweep& sweep = r.sweep;
+  // The offset sweep's perf telemetry (purely observational).
+  const obs::PerfReport perf{.wall_seconds = wall.seconds(),
+                             .cycles_simulated = sweep.cycles_simulated};
   human(args) << r.summary() << "\nby offset:";
-  for (std::size_t b2 = 0; b2 < r.by_offset.size(); ++b2) {
-    human(args) << ' ' << b2 << ':' << r.by_offset[b2].str();
+  for (std::size_t b2 = 0; b2 < sweep.by_offset.size(); ++b2) {
+    human(args) << ' ' << b2 << ':' << sweep.by_offset[b2].str();
   }
   human(args) << '\n';
-  // The offset sweep's perf telemetry (purely observational).
-  const sim::OffsetSweep sweep =
-      sim::sweep_start_offsets(cfg, args.positional[2], args.positional[3], args.same_cpu);
   std::cerr << "sweep telemetry: " << sweep.by_offset.size() << " offsets, "
-            << sweep.cycles_simulated << " simulated cycles in " << sweep.wall_seconds
-            << " s (" << sweep.cycles_per_second() << " cycles/s)\n";
+            << sweep.cycles_simulated << " simulated cycles in " << perf.wall_seconds
+            << " s (" << perf.cycles_per_second() << " cycles/s)\n";
   if (!args.json_path.empty()) {
     Json doc = cli_envelope("pair");
     doc["m"] = r.m;
@@ -215,17 +217,17 @@ int cmd_pair(const Args& args) {
     doc["classification"] = analytic::to_string(r.prediction.cls);
     doc["predicted_b_eff"] =
         r.prediction.bandwidth ? obs::json_of(*r.prediction.bandwidth) : Json{nullptr};
-    doc["sim_min"] = obs::json_of(r.sim_min);
-    doc["sim_max"] = obs::json_of(r.sim_max);
+    doc["sim_min"] = obs::json_of(sweep.min_bandwidth);
+    doc["sim_max"] = obs::json_of(sweep.max_bandwidth);
     Json by_offset = Json::array();
-    for (const auto& bw : r.by_offset) by_offset.push_back(obs::json_of(bw));
+    for (const auto& bw : sweep.by_offset) by_offset.push_back(obs::json_of(bw));
     doc["by_offset"] = std::move(by_offset);
-    Json perf = Json::object();
-    perf["points"] = sweep.by_offset.size();
-    perf["wall_seconds"] = sweep.wall_seconds;
-    perf["simulated_cycles"] = sweep.cycles_simulated;
-    perf["cycles_per_second"] = sweep.cycles_per_second();
-    doc["sweep_perf"] = std::move(perf);
+    Json sweep_perf = Json::object();
+    sweep_perf["points"] = sweep.by_offset.size();
+    sweep_perf["wall_seconds"] = perf.wall_seconds;
+    sweep_perf["simulated_cycles"] = sweep.cycles_simulated;
+    sweep_perf["cycles_per_second"] = perf.cycles_per_second();
+    doc["sweep_perf"] = std::move(sweep_perf);
     if (!maybe_write_json(args, doc)) return 1;
   }
   return 0;

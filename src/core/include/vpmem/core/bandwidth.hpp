@@ -5,10 +5,10 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "vpmem/analytic/classify.hpp"
 #include "vpmem/sim/config.hpp"
+#include "vpmem/sim/steady_state.hpp"
 #include "vpmem/util/rational.hpp"
 
 namespace vpmem::core {
@@ -34,9 +34,9 @@ struct PairReport {
   i64 d1 = 0;
   i64 d2 = 0;
   analytic::PairPrediction prediction;
-  Rational sim_min;  ///< worst steady-state b_eff over all start offsets
-  Rational sim_max;  ///< best steady-state b_eff over all start offsets
-  std::vector<Rational> by_offset;
+  /// Steady-state b_eff at every start offset, with its extremes and the
+  /// clock periods the detections stepped.
+  sim::OffsetSweep sweep;
 
   [[nodiscard]] std::string summary() const;
 };

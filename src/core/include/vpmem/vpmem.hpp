@@ -4,7 +4,8 @@
 //
 // Layers (see DESIGN.md):
 //   vpmem::sim       cycle-level bank/section/port simulator
-//   vpmem::obs       metrics registry, run reports, perf telemetry
+//   vpmem::obs       run reports, conflict attribution, tracer, histograms,
+//                    wall-clock perf telemetry
 //   vpmem::analytic  Theorems 1-9 and the distance isomorphism
 //   vpmem::trace     the paper's clock diagrams
 //   vpmem::xmp       Cray X-MP machine model (Section IV)

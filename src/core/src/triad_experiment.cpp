@@ -1,10 +1,10 @@
 #include "vpmem/core/triad_experiment.hpp"
 
 #include <exception>
-#include <stdexcept>
 
 #include "vpmem/core/sweep.hpp"
 #include "vpmem/exec/pool.hpp"
+#include "vpmem/util/error.hpp"
 
 namespace vpmem::core {
 
@@ -12,7 +12,7 @@ std::vector<TriadRow> run_triad_experiment(const TriadExperiment& experiment,
                                            std::size_t workers,
                                            obs::SweepTelemetry* telemetry) {
   if (experiment.inc_min < 1 || experiment.inc_max < experiment.inc_min) {
-    throw std::invalid_argument{"run_triad_experiment: bad INC range"};
+    throw Error{ErrorCode::config_invalid, "run_triad_experiment: bad INC range"};
   }
   const auto count = static_cast<std::size_t>(experiment.inc_max - experiment.inc_min + 1);
   // Every slot is written by exactly one worker; an error is kept in its
@@ -37,8 +37,7 @@ std::vector<TriadRow> run_triad_experiment(const TriadExperiment& experiment,
       row.conflicts_dedicated = dedicated.conflicts;
       row.background_goodput = contended.background_goodput();
       if (telemetry != nullptr) {
-        telemetry->add_cycles(contended.cycles + dedicated.cycles);
-        telemetry->record_point(watch.seconds());
+        telemetry->record_point(watch.seconds(), contended.cycles + dedicated.cycles);
       }
     } catch (...) {
       errors[slot] = std::current_exception();

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "vpmem/exec/pool.hpp"
-#include "vpmem/obs/metrics.hpp"
 #include "vpmem/util/backoff.hpp"
 #include "vpmem/util/journal.hpp"
 #include "vpmem/util/json.hpp"
@@ -95,9 +94,11 @@ struct CampaignSummary {
   /// "degraded" (completed, but some jobs failed or were quarantined).
   std::string status = "ok";
   bool interrupted = false;  ///< cancel token tripped mid-campaign
-  /// Merged per-worker metrics: counters jobs.completed / jobs.retried /
-  /// jobs.quarantined / jobs.failed / jobs.resumed and the job.wall_ms
-  /// histogram.  Json snapshot so the summary stays copyable.
+  /// job.wall_ms, a histogram of every attempt's wall time merged from
+  /// per-worker copies, then the counts of this run: jobs.completed,
+  /// jobs.retried, jobs.failed and jobs.quarantined (jobs settled from
+  /// the journal are not among them) and jobs.resumed.  Every key is
+  /// always present, in this order.
   Json metrics;
 
   [[nodiscard]] bool ok() const noexcept { return status == "ok"; }

@@ -8,6 +8,8 @@
 #include <unordered_set>
 
 #include "vpmem/exec/sandbox.hpp"
+#include "vpmem/obs/metrics.hpp"
+#include "vpmem/obs/timer.hpp"
 #include "vpmem/util/error.hpp"
 #include "vpmem/util/hash.hpp"
 
@@ -99,9 +101,10 @@ JournalRecord record_of(const JobSpec& spec, const Attempt& a, int attempt, int 
   return rec;
 }
 
-/// Run one job to its final disposition (retries included).
+/// Run one job to its final disposition (retries included), recording
+/// every attempt's wall time in `wall_ms`.
 JobResult run_one(const JobSpec& spec, int worker, const ExecutorOptions& options,
-                  JournalWriter* journal, obs::MetricsRegistry& metrics) {
+                  JournalWriter* journal, obs::Histogram& wall_ms) {
   JobResult out;
   out.id = spec.id;
   out.hash = spec.hash;
@@ -112,26 +115,22 @@ JobResult run_one(const JobSpec& spec, int worker, const ExecutorOptions& option
     ++attempt;
     out.attempts = attempt;
     if (attempt > 1) {
-      metrics.counter("jobs.retried").inc();
       const double delay = options.retry.delay_ms(attempt, seed);
       if (options.sleep_on_backoff && delay > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay));
       }
     }
-    const auto begin = std::chrono::steady_clock::now();
+    const obs::Stopwatch watch;
     const Attempt a = attempt_once(spec, options.sandbox);
-    out.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - begin)
-                      .count();
+    out.wall_ms = watch.seconds() * 1e3;
     out.max_rss_kb = a.max_rss_kb;
-    metrics.histogram("job.wall_ms").record(static_cast<i64>(out.wall_ms));
+    wall_ms.record(static_cast<i64>(out.wall_ms));
 
     if (a.kind == Attempt::Kind::ok) {
       out.status = JobStatus::ok;
       out.result = a.result;
       out.error_code.clear();
       out.error.clear();
-      metrics.counter("jobs.completed").inc();
       if (journal != nullptr) journal->append(record_of(spec, a, attempt, worker, out.wall_ms, "ok"));
       return out;
     }
@@ -147,7 +146,6 @@ JobResult run_one(const JobSpec& spec, int worker, const ExecutorOptions& option
         continue;
       }
       out.status = JobStatus::failed;
-      metrics.counter("jobs.failed").inc();
       if (journal != nullptr) {
         journal->append(record_of(spec, a, attempt, worker, out.wall_ms, "failed"));
       }
@@ -166,7 +164,6 @@ JobResult run_one(const JobSpec& spec, int worker, const ExecutorOptions& option
     }
     out.status = JobStatus::quarantined;
     out.repro = spec.repro;
-    metrics.counter("jobs.quarantined").inc();
     if (journal != nullptr) {
       journal->append(record_of(spec, a, attempt, worker, out.wall_ms, "quarantined"));
     }
@@ -254,18 +251,20 @@ CampaignSummary run_campaign(const std::vector<JobSpec>& jobs, const ExecutorOpt
   }
 
   const int workers = options.jobs <= 1 ? 1 : options.jobs;
-  std::vector<obs::MetricsRegistry> per_worker(static_cast<std::size_t>(workers));
+  std::vector<obs::Histogram> wall_ms(static_cast<std::size_t>(workers));
   parallel_for(
       static_cast<i64>(pending.size()), options.jobs,
       [&](i64 index, int worker) {
         const std::size_t slot = pending[static_cast<std::size_t>(index)];
         summary.results[slot] = run_one(jobs[slot], worker, options, journal.get(),
-                                        per_worker[static_cast<std::size_t>(worker)]);
+                                        wall_ms[static_cast<std::size_t>(worker)]);
       },
       options.cancel);
 
-  obs::MetricsRegistry merged;
-  for (const auto& reg : per_worker) merged.merge(reg);
+  // The metrics' completed/quarantined count only the jobs this run
+  // settled; the summary's also count those resumed from the journal.
+  i64 fresh_completed = 0;
+  i64 fresh_quarantined = 0;
   for (const auto& r : summary.results) {
     switch (r.status) {
       case JobStatus::ok: ++summary.completed; break;
@@ -273,11 +272,23 @@ CampaignSummary run_campaign(const std::vector<JobSpec>& jobs, const ExecutorOpt
       case JobStatus::quarantined: ++summary.quarantined; break;
       case JobStatus::cancelled: ++summary.cancelled; break;
     }
-    if (r.resumed) ++summary.resumed;
+    if (r.resumed) {
+      ++summary.resumed;
+    } else if (r.status == JobStatus::ok) {
+      ++fresh_completed;
+    } else if (r.status == JobStatus::quarantined) {
+      ++fresh_quarantined;
+    }
     if (r.attempts > 1) summary.retries += r.attempts - 1;
   }
-  merged.counter("jobs.resumed").inc(summary.resumed);
-  summary.metrics = merged.to_json();
+  for (std::size_t w = 1; w < wall_ms.size(); ++w) wall_ms.front().merge(wall_ms[w]);
+  summary.metrics = Json::object();
+  summary.metrics["job.wall_ms"] = wall_ms.front().to_json();
+  summary.metrics["jobs.completed"] = fresh_completed;
+  summary.metrics["jobs.retried"] = summary.retries;
+  summary.metrics["jobs.failed"] = summary.failed;
+  summary.metrics["jobs.quarantined"] = fresh_quarantined;
+  summary.metrics["jobs.resumed"] = summary.resumed;
   summary.interrupted = options.cancel != nullptr && options.cancel->cancelled();
   if (summary.cancelled > 0) {
     summary.status = "partial";

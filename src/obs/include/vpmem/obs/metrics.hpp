@@ -1,33 +1,18 @@
-// Metric primitives and a named registry — the in-memory representation
-// behind every structured report.
+// The power-of-two histogram behind the distributions in structured
+// reports (stall lengths in the conflict attribution, job wall times in
+// a campaign summary).
 //
-// All metric types are plain single-threaded accumulators (the simulator
-// itself is single-threaded per instance); cross-thread aggregation for
-// parallel sweeps lives in vpmem::obs::SweepTelemetry (timer.hpp).
+// A Histogram is a plain single-threaded accumulator; parallel callers
+// keep one per worker and merge() once at the end.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <string>
-#include <string_view>
-#include <variant>
 #include <vector>
 
 #include "vpmem/util/json.hpp"
 #include "vpmem/util/numeric.hpp"
 
 namespace vpmem::obs {
-
-/// Monotonically increasing integer metric (grant counts, conflicts).
-class Counter {
- public:
-  void inc(i64 by = 1) noexcept { value_ += by; }
-  [[nodiscard]] i64 value() const noexcept { return value_; }
-  [[nodiscard]] Json to_json() const { return Json{value_}; }
-
- private:
-  i64 value_ = 0;
-};
 
 /// Power-of-two-bucketed histogram over non-negative integer samples
 /// (stall lengths, per-bank grant counts).  Bucket 0 holds the value 0;
@@ -72,39 +57,6 @@ class Histogram {
   i64 sum_ = 0;
   i64 min_ = 0;
   i64 max_ = 0;
-};
-
-/// Insertion-ordered collection of named metrics.  Names are free-form;
-/// the convention is dotted paths such as "conflicts.bank" or
-/// "port.0.grants".  Re-requesting a name returns the
-/// existing metric; requesting an existing name as a different kind
-/// throws std::invalid_argument.
-class MetricsRegistry {
- public:
-  Counter& counter(std::string_view name);
-  Histogram& histogram(std::string_view name);
-
-  [[nodiscard]] bool contains(std::string_view name) const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-
-  /// Fold `other` into this registry: counters add, histograms merge
-  /// sample-exactly.  Used to
-  /// aggregate per-worker partial results after a parallel campaign —
-  /// workers each own a private registry (no locking on the hot path)
-  /// and the executor merges once at the end.  Throws
-  /// std::invalid_argument if a shared name has a different metric kind.
-  void merge(const MetricsRegistry& other);
-
-  /// One object member per metric, in registration order.
-  [[nodiscard]] Json to_json() const;
-
- private:
-  using Metric = std::variant<Counter, Histogram>;
-  template <typename T>
-  T& get_or_create(std::string_view name);
-
-  // unique_ptr gives metric references stability across registrations.
-  std::vector<std::pair<std::string, std::unique_ptr<Metric>>> entries_;
 };
 
 }  // namespace vpmem::obs

@@ -19,9 +19,7 @@ class Stopwatch {
  public:
   Stopwatch() noexcept : start_{std::chrono::steady_clock::now()} {}
 
-  void reset() noexcept { start_ = std::chrono::steady_clock::now(); }
-
-  /// Seconds elapsed since construction/reset.
+  /// Seconds elapsed since construction.
   [[nodiscard]] double seconds() const noexcept {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
   }
@@ -31,23 +29,17 @@ class Stopwatch {
 };
 
 /// Thread-safe accumulator for a parameter sweep: one record_point() per
-/// sweep point (from any worker thread), plus the simulated clock periods
-/// each point stepped.  Reports total/mean/max per-point latency and the
+/// sweep point (from any worker thread) with the simulated clock periods
+/// it stepped.  Reports total/mean/max per-point latency and the
 /// aggregate simulated-cycles-per-second of the sweep.
 class SweepTelemetry {
  public:
   /// Record one completed sweep point.
-  void record_point(double wall_seconds, i64 simulated_cycles = 0);
-
-  /// Add simulated cycles to the running total without closing a point
-  /// (used when the point's wall time is recorded by a generic wrapper).
-  void add_cycles(i64 simulated_cycles);
+  void record_point(double wall_seconds, i64 simulated_cycles);
 
   [[nodiscard]] i64 points() const;
   [[nodiscard]] double total_seconds() const;
   [[nodiscard]] i64 simulated_cycles() const;
-  [[nodiscard]] double mean_point_seconds() const;
-  [[nodiscard]] double max_point_seconds() const;
   /// Simulated clock periods per wall-clock second, summed over points
   /// (0 when nothing was recorded or the sweep was too fast to time).
   [[nodiscard]] double cycles_per_second() const;

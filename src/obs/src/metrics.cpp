@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 
 namespace vpmem::obs {
 
@@ -61,48 +60,6 @@ Json Histogram::to_json() const {
     buckets.push_back(std::move(entry));
   }
   out["buckets"] = std::move(buckets);
-  return out;
-}
-
-template <typename T>
-T& MetricsRegistry::get_or_create(std::string_view name) {
-  for (auto& [key, metric] : entries_) {
-    if (key != name) continue;
-    if (T* existing = std::get_if<T>(metric.get())) return *existing;
-    throw std::invalid_argument{"MetricsRegistry: '" + std::string{name} +
-                                "' already registered as a different metric kind"};
-  }
-  entries_.emplace_back(std::string{name}, std::make_unique<Metric>(T{}));
-  return std::get<T>(*entries_.back().second);
-}
-
-Counter& MetricsRegistry::counter(std::string_view name) { return get_or_create<Counter>(name); }
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  return get_or_create<Histogram>(name);
-}
-
-bool MetricsRegistry::contains(std::string_view name) const noexcept {
-  for (const auto& [key, metric] : entries_) {
-    if (key == name) return true;
-  }
-  return false;
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [key, metric] : other.entries_) {
-    if (const Counter* c = std::get_if<Counter>(metric.get())) {
-      counter(key).inc(c->value());
-    } else if (const Histogram* h = std::get_if<Histogram>(metric.get())) {
-      histogram(key).merge(*h);
-    }
-  }
-}
-
-Json MetricsRegistry::to_json() const {
-  Json out = Json::object();
-  for (const auto& [key, metric] : entries_) {
-    out[key] = std::visit([](const auto& m) { return m.to_json(); }, *metric);
-  }
   return out;
 }
 

@@ -13,11 +13,6 @@ void SweepTelemetry::record_point(double wall_seconds, i64 simulated_cycles) {
   max_point_seconds_ = std::max(max_point_seconds_, wall_seconds);
 }
 
-void SweepTelemetry::add_cycles(i64 simulated_cycles) {
-  const std::scoped_lock lock{mutex_};
-  cycles_ += simulated_cycles;
-}
-
 i64 SweepTelemetry::points() const {
   const std::scoped_lock lock{mutex_};
   return points_;
@@ -31,16 +26,6 @@ double SweepTelemetry::total_seconds() const {
 i64 SweepTelemetry::simulated_cycles() const {
   const std::scoped_lock lock{mutex_};
   return cycles_;
-}
-
-double SweepTelemetry::mean_point_seconds() const {
-  const std::scoped_lock lock{mutex_};
-  return points_ == 0 ? 0.0 : total_seconds_ / static_cast<double>(points_);
-}
-
-double SweepTelemetry::max_point_seconds() const {
-  const std::scoped_lock lock{mutex_};
-  return max_point_seconds_;
 }
 
 double SweepTelemetry::cycles_per_second() const {

@@ -33,12 +33,6 @@ struct SteadyState {
   /// mu + lambda: the clock periods up to the first repeated state.
   /// Detection steps about mu more than this (mu + lambda + mu).
   i64 cycles_simulated = 0;
-  double wall_seconds = 0.0;           ///< wall-clock cost of the detection
-  /// Detection throughput (cycles_simulated per wall-clock second); 0
-  /// when the run was too fast to time.
-  [[nodiscard]] double cycles_per_second() const noexcept {
-    return wall_seconds > 0.0 ? static_cast<double>(cycles_simulated) / wall_seconds : 0.0;
-  }
   std::vector<i64> grants_in_period;   ///< per-port grants within one period
   ConflictTotals conflicts_in_period;  ///< conflicts within one period
   std::vector<PortStats> per_port_delta;  ///< per-port stats within one period
@@ -71,13 +65,7 @@ struct OffsetSweep {
   Rational min_bandwidth;
   Rational max_bandwidth;
   std::vector<Rational> by_offset;  ///< index = b2
-  // Perf telemetry of the sweep itself (summed over offsets); purely
-  // observational — the bandwidths above are unaffected.
-  i64 cycles_simulated = 0;   ///< SteadyState::cycles_simulated summed over all points
-  double wall_seconds = 0.0;  ///< wall-clock cost of the whole sweep
-  [[nodiscard]] double cycles_per_second() const noexcept {
-    return wall_seconds > 0.0 ? static_cast<double>(cycles_simulated) / wall_seconds : 0.0;
-  }
+  i64 cycles_simulated = 0;  ///< SteadyState::cycles_simulated summed over all offsets
 };
 
 [[nodiscard]] OffsetSweep sweep_start_offsets(const MemoryConfig& config, i64 d1, i64 d2,

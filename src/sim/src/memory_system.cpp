@@ -14,13 +14,12 @@ constexpr std::size_t kFree = static_cast<std::size_t>(-1);
 
 MemorySystem::MemorySystem(MemoryConfig config, std::vector<StreamConfig> streams,
                            FaultPlan plan)
-    : config_{config},
+    : config_{(config.validate(), config)},
       plan_{std::move(plan)},
       bank_free_at_(static_cast<std::size_t>(config.banks), 0),
       bank_grants_(static_cast<std::size_t>(config.banks), 0),
       bank_owner_(static_cast<std::size_t>(config.banks), kFree),
       bank_claim_(static_cast<std::size_t>(config.banks), kFree) {
-  config_.validate();
   plan_.validate(config_);
   const auto banks = static_cast<std::size_t>(config_.banks);
   bank_online_.assign(banks, 1);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -246,7 +245,6 @@ SteadyState find_steady_state(const MemoryConfig& config,
       throw Error{ErrorCode::config_invalid, "find_steady_state: all streams must be infinite"};
     }
   }
-  const auto wall_start = std::chrono::steady_clock::now();
   // One walker steps from t = 0 and looks each state's fingerprint up
   // among the kept ones.  A hit on the state at time a is confirmed by
   // same_state() on `probe`, a second system stepped from t = 0 to a.
@@ -320,8 +318,6 @@ SteadyState find_steady_state(const MemoryConfig& config,
   }
   out.bandwidth = Rational{total_grants, out.period};
   out.cycles_simulated = walker.now();
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   return out;
 }
 
@@ -333,7 +329,6 @@ OffsetSweep sweep_start_offsets(const MemoryConfig& config, i64 d1, i64 d2, bool
     const SteadyState ss =
         find_steady_state(config, two_streams(0, d1, b2, d2, same_cpu), max_cycles);
     sweep.cycles_simulated += ss.cycles_simulated;
-    sweep.wall_seconds += ss.wall_seconds;
     sweep.by_offset.push_back(ss.bandwidth);
     if (b2 == 0) {
       sweep.min_bandwidth = ss.bandwidth;

@@ -1,6 +1,7 @@
-// Coverage for the perf-telemetry accessors (cycles_per_second and its
-// wall_seconds == 0 guard on SteadyState, OffsetSweep and PerfReport) and
-// for carrying fuzz results through the RunReport machinery.
+// Coverage for the perf telemetry (the deterministic cycle counts of
+// detection and offset sweeps, PerfReport's cycles_per_second guard, the
+// tracer's overhead bound) and for carrying fuzz results through the
+// RunReport machinery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,19 +23,6 @@ sim::MemoryConfig flat(i64 m, i64 nc) {
 }
 
 TEST(PerfTelemetry, CyclesPerSecondGuardsAgainstZeroWallTime) {
-  sim::SteadyState ss;
-  ss.cycles_simulated = 1000;
-  ss.wall_seconds = 0.0;
-  EXPECT_EQ(ss.cycles_per_second(), 0.0);
-  ss.wall_seconds = 0.25;
-  EXPECT_DOUBLE_EQ(ss.cycles_per_second(), 4000.0);
-
-  sim::OffsetSweep sweep;
-  sweep.cycles_simulated = 500;
-  EXPECT_EQ(sweep.cycles_per_second(), 0.0);
-  sweep.wall_seconds = 2.0;
-  EXPECT_DOUBLE_EQ(sweep.cycles_per_second(), 250.0);
-
   obs::PerfReport perf;
   perf.cycles_simulated = 300;
   EXPECT_EQ(perf.cycles_per_second(), 0.0);
@@ -47,10 +35,8 @@ TEST(PerfTelemetry, CyclesPerSecondGuardsAgainstZeroWallTime) {
 TEST(PerfTelemetry, DetectionAndSweepReportPositiveCycleCounts) {
   const sim::SteadyState ss = sim::find_steady_state(flat(13, 4), sim::two_streams(0, 1, 4, 6));
   EXPECT_GT(ss.cycles_simulated, 0);
-  EXPECT_GE(ss.wall_seconds, 0.0);
   const sim::OffsetSweep sweep = sim::sweep_start_offsets(flat(8, 2), 1, 3);
   EXPECT_GT(sweep.cycles_simulated, 0);
-  EXPECT_GE(sweep.cycles_per_second(), 0.0);
 }
 
 TEST(PerfTelemetry, TracerOverheadStaysUnderTwoX) {

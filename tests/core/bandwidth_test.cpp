@@ -29,15 +29,16 @@ TEST(AnalyzeSingle, ReportsReturnNumber) {
 TEST(AnalyzePair, ConflictFreePair) {
   const PairReport r = analyze_pair(flat(12, 3), 1, 7);
   EXPECT_EQ(r.prediction.cls, analytic::PairClass::conflict_free_synchronized);
-  EXPECT_EQ(r.sim_min, Rational{2});
-  EXPECT_EQ(r.sim_max, Rational{2});
-  EXPECT_EQ(r.by_offset.size(), 12u);
+  EXPECT_EQ(r.sweep.min_bandwidth, Rational{2});
+  EXPECT_EQ(r.sweep.max_bandwidth, Rational{2});
+  EXPECT_EQ(r.sweep.by_offset.size(), 12u);
+  EXPECT_GT(r.sweep.cycles_simulated, 0);
 }
 
 TEST(AnalyzePair, StartDependentPairShowsSpread) {
   const PairReport r = analyze_pair(flat(13, 6), 1, 6);
   EXPECT_EQ(r.prediction.cls, analytic::PairClass::start_dependent);
-  EXPECT_LT(r.sim_min, r.sim_max);
+  EXPECT_LT(r.sweep.min_bandwidth, r.sweep.max_bandwidth);
 }
 
 TEST(AnalyzePair, SummaryMentionsClassAndRange) {
@@ -54,8 +55,8 @@ TEST(AnalyzePair, SameCpuUsesSectionRegime) {
   sim::MemoryConfig cfg{.banks = 12, .sections = 2, .bank_cycle = 2};
   const PairReport same = analyze_pair(cfg, 1, 1, /*same_cpu=*/true);
   const PairReport cross = analyze_pair(cfg, 1, 1, /*same_cpu=*/false);
-  EXPECT_GE(cross.sim_min, same.sim_min);
-  EXPECT_EQ(cross.sim_max, Rational{2});
+  EXPECT_GE(cross.sweep.min_bandwidth, same.sweep.min_bandwidth);
+  EXPECT_EQ(cross.sweep.max_bandwidth, Rational{2});
 }
 
 }  // namespace

@@ -2,8 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "vpmem/util/error.hpp"
+
 namespace vpmem::core {
 namespace {
+
+/// `f` throws vpmem::Error{config_invalid}.
+template <class F>
+void expect_config_invalid(F&& f) {
+  try {
+    f();
+    FAIL() << "expected vpmem::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::config_invalid) << e.what();
+  }
+}
 
 sim::MemoryConfig flat(i64 m, i64 nc) {
   return sim::MemoryConfig{.banks = m, .sections = m, .bank_cycle = nc};
@@ -16,8 +29,8 @@ TEST(UniformStreams, Construction) {
   EXPECT_EQ(streams[2].cpu, 2);
   const auto same = uniform_streams(3, 2, 5, 16, /*same_cpu=*/true);
   for (const auto& s : same) EXPECT_EQ(s.cpu, 0);
-  EXPECT_THROW(static_cast<void>(uniform_streams(0, 1, 1, 16)), std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(uniform_streams(2, 1, 1, 0)), std::invalid_argument);
+  expect_config_invalid([] { static_cast<void>(uniform_streams(0, 1, 1, 16)); });
+  expect_config_invalid([] { static_cast<void>(uniform_streams(2, 1, 1, 0)); });
 }
 
 TEST(AnalyzeGroup, FourStaggeredStrideOneStreamsAreConflictFree) {
@@ -54,7 +67,8 @@ TEST(AnalyzeGroup, PerPortSumsToTotal) {
 
 TEST(AnalyzeGroup, UtilizationValidation) {
   GroupReport r;
-  EXPECT_THROW(static_cast<void>(r.utilization(0, 1)), std::invalid_argument);
+  expect_config_invalid([&] { static_cast<void>(r.utilization(0, 1)); });
+  expect_config_invalid([&] { static_cast<void>(r.utilization(4, 0)); });
 }
 
 }  // namespace

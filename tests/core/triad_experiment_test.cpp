@@ -72,11 +72,19 @@ TEST(TriadExperiment, WorkerErrorsReachTheCaller) {
 
 TEST(TriadExperiment, RejectsBadRange) {
   TriadExperiment exp = small_experiment();
+  const auto expect_config_invalid = [](const TriadExperiment& bad) {
+    try {
+      static_cast<void>(run_triad_experiment(bad));
+      FAIL() << "expected vpmem::Error for INC " << bad.inc_min << ".." << bad.inc_max;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::config_invalid) << e.what();
+    }
+  };
   exp.inc_min = 0;
-  EXPECT_THROW(static_cast<void>(run_triad_experiment(exp)), std::invalid_argument);
+  expect_config_invalid(exp);
   exp.inc_min = 5;
   exp.inc_max = 4;
-  EXPECT_THROW(static_cast<void>(run_triad_experiment(exp)), std::invalid_argument);
+  expect_config_invalid(exp);
 }
 
 TEST(TriadExperiment, TableHasExpectedColumns) {

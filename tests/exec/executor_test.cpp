@@ -216,5 +216,85 @@ TEST(Executor, MetricsCountCompletionsAndRetries) {
   EXPECT_EQ(summary.metrics.at("job.wall_ms").at("count").as_int(), 6);  // 5 jobs + 1 retry
 }
 
+/// A `metrics` counter, or 0 when the key is absent.
+i64 metric(const exec::CampaignSummary& summary, const std::string& name) {
+  return summary.metrics.contains(name) ? summary.metrics.at(name).as_int() : 0;
+}
+
+i64 wall_ms_count(const exec::CampaignSummary& summary) {
+  return summary.metrics.contains("job.wall_ms")
+             ? summary.metrics.at("job.wall_ms").at("count").as_int()
+             : 0;
+}
+
+TEST(Executor, MetricsPinEveryCounterAcrossRetryFailureQuarantineAndResume) {
+  TempFile journal{"metrics"};
+  // Three plain jobs, one transient error that clears on its second
+  // attempt, one transient error that never clears (3 attempts, failed)
+  // and one deterministic error (2 attempts, quarantined).
+  auto jobs = simple_jobs(3);
+  auto flaky_calls = std::make_shared<std::atomic<int>>(0);
+  exec::JobSpec flaky;
+  flaky.id = "flaky";
+  flaky.hash = stable_hash("metrics-pin flaky");
+  flaky.run = [flaky_calls] {
+    if (flaky_calls->fetch_add(1) == 0) throw Error{ErrorCode::deadline_exceeded, "transient"};
+    return payload(1);
+  };
+  jobs.push_back(std::move(flaky));
+  exec::JobSpec slow;
+  slow.id = "always-slow";
+  slow.hash = stable_hash("metrics-pin slow");
+  slow.run = []() -> Json { throw Error{ErrorCode::livelock, "stuck"}; };
+  jobs.push_back(std::move(slow));
+  exec::JobSpec broken;
+  broken.id = "broken";
+  broken.hash = stable_hash("metrics-pin broken");
+  broken.repro = "replay-token";
+  broken.run = []() -> Json { throw Error{ErrorCode::config_invalid, "bad config"}; };
+  jobs.push_back(std::move(broken));
+
+  auto options = fast_options();
+  options.jobs = 2;
+  options.retry.max_attempts = 3;
+  options.journal_path = journal.path();
+  const exec::CampaignSummary first = exec::run_campaign(jobs, options);
+  EXPECT_EQ(first.status, "degraded");
+  EXPECT_EQ(metric(first, "jobs.completed"), 4);
+  EXPECT_EQ(metric(first, "jobs.retried"), 4);  // flaky 1 + slow 2 + broken 1
+  EXPECT_EQ(metric(first, "jobs.failed"), 1);
+  EXPECT_EQ(metric(first, "jobs.quarantined"), 1);
+  EXPECT_EQ(metric(first, "jobs.resumed"), 0);
+  EXPECT_EQ(wall_ms_count(first), 10);  // one sample per attempt: 3 + 2 + 3 + 2
+
+  // Resume: the four ok jobs and the quarantined one are settled from the
+  // journal; only the failed job runs again, through all three attempts.
+  options.resume = true;
+  const exec::CampaignSummary second = exec::run_campaign(jobs, options);
+  EXPECT_EQ(second.status, "degraded");
+  EXPECT_EQ(second.resumed, 5);
+  EXPECT_EQ(second.quarantined, 1);  // the summary counts resumed jobs too
+  EXPECT_EQ(metric(second, "jobs.completed"), 0);
+  EXPECT_EQ(metric(second, "jobs.retried"), 2);
+  EXPECT_EQ(metric(second, "jobs.failed"), 1);
+  EXPECT_EQ(metric(second, "jobs.quarantined"), 0);  // resumed, not re-quarantined
+  EXPECT_EQ(metric(second, "jobs.resumed"), 5);
+  EXPECT_EQ(wall_ms_count(second), 3);
+}
+
+TEST(Executor, MetricsKeysAreAlwaysPresentInOneOrder) {
+  // Counts that stay zero are written too, so a consumer never has to
+  // tell "none" from "not reported".
+  const exec::CampaignSummary summary = exec::run_campaign(simple_jobs(2), fast_options());
+  const auto& members = summary.metrics.as_object();
+  ASSERT_EQ(members.size(), 6u);
+  const char* const keys[] = {"job.wall_ms",  "jobs.completed",   "jobs.retried",
+                              "jobs.failed", "jobs.quarantined", "jobs.resumed"};
+  for (std::size_t i = 0; i < members.size(); ++i) EXPECT_EQ(members[i].first, keys[i]);
+  EXPECT_EQ(summary.metrics.at("jobs.completed").as_int(), 2);
+  EXPECT_EQ(summary.metrics.at("jobs.failed").as_int(), 0);
+  EXPECT_EQ(summary.metrics.at("job.wall_ms").at("count").as_int(), 2);
+}
+
 }  // namespace
 }  // namespace vpmem

@@ -114,7 +114,7 @@ TEST(CrossValidation, AnalyzePairConsistentWithDiagnose) {
   // must agree at each offset.
   const auto cfg = flat(12, 3);
   const core::PairReport pair = core::analyze_pair(cfg, 1, 7);
-  ASSERT_EQ(pair.sim_min, Rational{2});
+  ASSERT_EQ(pair.sweep.min_bandwidth, Rational{2});
   for (i64 b2 = 0; b2 < 12; ++b2) {
     const core::Diagnosis d = core::diagnose(cfg, sim::two_streams(0, 1, b2, 7));
     EXPECT_EQ(d.regime, core::RunRegime::conflict_free) << b2;

@@ -2,19 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 namespace vpmem::obs {
 namespace {
-
-TEST(Counter, IncAndValue) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0);
-  c.inc();
-  c.inc(5);
-  EXPECT_EQ(c.value(), 6);
-  EXPECT_EQ(c.to_json().as_int(), 6);
-}
 
 TEST(Histogram, BucketOfEdgeCases) {
   // Bucket 0 = {0}; bucket b >= 1 covers [2^(b-1), 2^b - 1].
@@ -99,50 +88,6 @@ TEST(Histogram, ToJsonOmitsEmptyBuckets) {
   EXPECT_EQ(buckets[0].at("count").as_int(), 1);
   EXPECT_EQ(buckets[1].at("le").as_int(), Histogram::bucket_ceil(4));
   EXPECT_EQ(buckets[1].at("count").as_int(), 1);
-}
-
-TEST(MetricsRegistry, GetOrCreateReturnsSameInstance) {
-  MetricsRegistry reg;
-  Counter& a = reg.counter("grants");
-  a.inc(3);
-  Counter& b = reg.counter("grants");
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(b.value(), 3);
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_TRUE(reg.contains("grants"));
-  EXPECT_FALSE(reg.contains("gauges"));
-}
-
-TEST(MetricsRegistry, ReferencesSurviveLaterRegistrations) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("first");
-  for (int i = 0; i < 100; ++i) reg.counter("extra." + std::to_string(i));
-  c.inc();
-  EXPECT_EQ(reg.counter("first").value(), 1);
-}
-
-TEST(MetricsRegistry, KindMismatchThrows) {
-  MetricsRegistry reg;
-  reg.counter("x");
-  EXPECT_THROW(reg.histogram("x"), std::invalid_argument);
-  reg.histogram("h");
-  EXPECT_THROW(reg.counter("h"), std::invalid_argument);
-}
-
-TEST(MetricsRegistry, ToJsonPreservesRegistrationOrder) {
-  MetricsRegistry reg;
-  reg.counter("z").inc(1);
-  reg.counter("a").inc(2);
-  reg.histogram("m").record(4);
-  const Json j = reg.to_json();
-  const auto& members = j.as_object();
-  ASSERT_EQ(members.size(), 3u);
-  EXPECT_EQ(members[0].first, "z");
-  EXPECT_EQ(members[1].first, "a");
-  EXPECT_EQ(members[2].first, "m");
-  EXPECT_EQ(members[0].second.as_int(), 1);
-  EXPECT_EQ(members[1].second.as_int(), 2);
-  EXPECT_EQ(members[2].second.at("count").as_int(), 1);
 }
 
 }  // namespace

@@ -198,6 +198,16 @@ TEST(MemorySystem, AddStreamRejectsPastStart) {
   }
 }
 
+TEST(MemorySystem, NegativeBankCountIsATypedConfigError) {
+  // The config is validated before any per-bank vector is sized from it.
+  try {
+    const MemorySystem mem{MemoryConfig{.banks = -1, .sections = 1, .bank_cycle = 1}, {}};
+    FAIL() << "banks = -1 accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::config_invalid);
+  }
+}
+
 TEST(MemorySystem, CyclicPriorityRotates) {
   // Both ports on different CPUs contend for bank 0 forever (d = 0,
   // nc = 1 so the bank is always free again).  Fixed priority starves

@@ -9,20 +9,17 @@
 #                           # fault-plan differential leg (5k cases)
 #
 # The sanitizer pass rebuilds into build-asan/ with -fsanitize=address,undefined
-# (VPMEM_SANITIZE=ON) and reruns the sim + obs + check test binaries, which
-# exercise the engine's typed event sinks (attach/detach, copies that start
-# without sinks, the per-step event batch), the sinks that hold raw
-# pointers into a run (Tracer, ConflictAttribution, Timeline, EventLog)
-# and the reference model's event-log scans; the timeline, invariants and
-# cross-validation tests, which run those sinks from trace, check and the
-# integration layer; the X-MP and triad-experiment tests, which drive the
-# engine's live-port list and the kernel driver's strip cursor; the three
-# suites that pin engine output bit for bit (xmp_golden_test with its
-# hundreds of mid-run ports, trace_golden_figures_test and
-# check_add_stream_property_test), which walk every port's bank cursor; the
-# util JSON and journal tests, which cover the single-buffer JSON writer
-# and its stream flushes; and the CLI argv contract (exec_cli_args_test),
-# which drives a sanitized vpmem_cli through every subcommand's parser.
+# (VPMEM_SANITIZE=ON) and runs `ctest -L asan`: the suites labelled `asan`
+# in tests/*/CMakeLists.txt.  They cover the engine's typed event sinks
+# (attach/detach, copies that start without sinks, the per-step event
+# batch), the sinks that hold raw pointers into a run (Tracer,
+# ConflictAttribution, Timeline, EventLog) and the reference model's
+# event-log scans; the timeline, invariants and cross-validation tests; the
+# X-MP and triad-experiment tests, which drive the engine's live-port list
+# and the kernel driver's strip cursor; the suites that pin engine output
+# bit for bit; the util JSON and journal tests; the executor and resume
+# suites; and the CLI argv contract (exec_cli_args_test), which drives a
+# sanitized vpmem_cli through every subcommand's parser.
 # exec_cli_campaign_test stays out: its 4-worker sandbox case hangs in a
 # forked child under ASan.
 #
@@ -30,8 +27,9 @@
 # (VPMEM_SANITIZE_THREAD=ON) and runs `ctest -LE fork`: everything except
 # the fork-labelled suites (the sandbox plumbing and the two CLI
 # end-to-end tests — TSan's interceptors do not survive fork()).  The
-# executor, worker pool, journal writer, sharded fuzzer, and metrics
-# merging all get their race coverage here via the in-process suites.
+# executor, worker pool, journal writer, sharded fuzzer, and per-worker
+# histogram merging all get their race coverage here via the in-process
+# suites.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,21 +69,10 @@ if [[ "$mode" == "--fast" ]]; then
   exit 0
 fi
 
-echo "== sanitizer pass: ASan + UBSan on sim/obs/check tests and the CLI argv contract =="
+echo "== sanitizer pass: ASan + UBSan on the asan-labelled suites =="
 cmake -B build-asan -S . -DVPMEM_SANITIZE=ON >/dev/null
-cmake --build build-asan -j "$jobs" --target \
-  sim_config_test sim_memory_system_test sim_steady_state_test sim_run_test \
-  sim_pattern_test sim_event_buffer_test sim_fault_test \
-  obs_metrics_test \
-  obs_report_test obs_timer_test obs_attribution_test obs_tracer_test \
-  check_reference_model_test check_differential_fuzz_test check_replay_test \
-  check_fault_plan_fuzz_test check_invariants_test check_add_stream_property_test \
-  trace_timeline_test trace_golden_figures_test integration_cross_validation_test \
-  xmp_machine_test xmp_kernels_test xmp_multitask_test xmp_golden_test \
-  core_triad_experiment_test \
-  util_json_test util_journal_test exec_cli_args_test
-ctest --test-dir build-asan --output-on-failure -j "$jobs" -R \
-  '^(sim_|obs_|check_reference_model|check_differential_fuzz|check_replay|check_fault_plan_fuzz|check_invariants|check_add_stream_property|trace_timeline|trace_golden_figures|integration_cross_validation|xmp_machine|xmp_kernels|xmp_multitask|xmp_golden|core_triad_experiment|util_json|util_journal|exec_cli_args)'
+cmake --build build-asan -j "$jobs"
+ctest --test-dir build-asan --output-on-failure -j "$jobs" -L asan
 
 echo "== sanitizer pass: TSan on everything but the fork-labelled suites =="
 cmake -B build-tsan -S . -DVPMEM_SANITIZE_THREAD=ON >/dev/null
